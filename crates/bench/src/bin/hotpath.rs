@@ -122,11 +122,10 @@ fn figure7_probe(name: &str, workers: usize, variant: &str, watchdog: bool) -> B
         // Probes measure the bare engine; the per-execution axiom audit
         // is a debugging aid, priced separately by micro:relations_finalize.
         debug_audit: false,
-        // Fiber hosting engages either way (a configured watchdog now
-        // rides fibers via the monitor thread). `watchdog` keeps
-        // `Config::default`'s hang_timeout so the row prices the monitor
-        // thread + per-execution registry against the watchdog-free
-        // fast path; these closures are known-terminating in both modes.
+        // `watchdog` keeps `Config::default`'s hang_timeout so the row
+        // prices the monitor thread + per-execution registry against the
+        // watchdog-free path; these closures are known-terminating in
+        // both modes.
         hang_timeout: if watchdog {
             mc::Config::default().hang_timeout
         } else {

@@ -474,8 +474,10 @@ fn serve_campaign(mut stream: TcpStream, state: &DaemonState, req: CampaignReque
             reason: format!("campaign failed: {e}"),
         },
     };
-    let _ = write_frame(&mut stream, &reply.encode());
+    // Count the campaign before replying: a client that reads `--status`
+    // right after its report must see the campaign it was just served.
     let served = state.stats.campaigns.fetch_add(1, Ordering::Relaxed) + 1;
+    let _ = write_frame(&mut stream, &reply.encode());
     if state.opts.max_campaigns.is_some_and(|max| served >= max) {
         // Unblock the accept loop so the daemon can notice the stop
         // flag and exit cleanly.

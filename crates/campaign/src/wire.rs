@@ -223,11 +223,8 @@ pub fn stats_from_json(v: &Json) -> Result<Stats, String> {
 /// Encode the *semantic* subset of a [`Config`]: every knob that can
 /// change what an exploration computes. Deliberately excluded — and
 /// therefore free to differ between cache hits — are `workers` and
-/// `steal_batch` (parallelism changes wall-clock, not results: the PR 2
-/// partition invariant), `fiber_hosting` and `fiber_stack` (pure hosting
-/// knobs: the fiber and OS-thread hosts walk the identical DFS at any
-/// non-overflowing stack size, pinned by `tests/fiber_equivalence.rs`),
-/// `verbose` (output only), and the
+/// `steal_batch` (parallelism changes wall-clock, not results: the shard
+/// partition invariant), `verbose` (output only), and the
 /// `resume_*` channels (per-task inputs, carried separately by the wire
 /// protocol).
 pub fn config_to_json(config: &Config) -> Json {
@@ -432,15 +429,12 @@ mod tests {
         let back = config_from_json(&config_to_json(&config)).expect("round trips");
         assert_eq!(config_hash(&back), config_hash(&config));
 
-        // Parallelism and transport knobs do not change the hash
-        // (results are worker-count and host independent)...
+        // Parallelism knobs do not change the hash (results are
+        // worker-count independent)...
         let mut parallel = config.clone();
         parallel.workers = 8;
         parallel.steal_batch = 4;
         assert_eq!(config_hash(&parallel), config_hash(&config));
-        let mut pooled = config.clone();
-        pooled.fiber_hosting = false;
-        assert_eq!(config_hash(&pooled), config_hash(&config));
 
         // ...but semantic knobs do. Pruning changes the execution
         // counters, so cached results must not cross the knob.

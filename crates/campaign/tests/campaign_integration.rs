@@ -168,23 +168,34 @@ fn kill_dash_nine_mid_campaign_is_invisible_in_the_report() {
         .expect("spawn campaign");
     let campaign_pid = child.id();
 
-    // Wait for worker subprocesses to appear, give them a moment to get
-    // into the shard, then SIGKILL every one of them.
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let victims = loop {
-        let pids = worker_pids(campaign_pid);
-        if !pids.is_empty() {
-            break pids;
-        }
-        assert!(Instant::now() < deadline, "no worker subprocess appeared");
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    std::thread::sleep(Duration::from_millis(250));
-    for pid in &victims {
+    // Freeze each worker subprocess with SIGSTOP the moment it appears. A
+    // stopped worker cannot return a result, so the campaign cannot finish
+    // around the test however fast the build is. Once both workers are
+    // frozen (one of them holds the campaign's only lease), SIGKILL them.
+    let signal = |sig: &str, pid: u32| {
         let _ = Command::new("sh")
             .arg("-c")
-            .arg(format!("kill -9 {pid}"))
+            .arg(format!("kill -{sig} {pid}"))
             .status();
+    };
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut victims: Vec<u32> = Vec::new();
+    while victims.len() < 2 {
+        for pid in worker_pids(campaign_pid) {
+            if !victims.contains(&pid) {
+                signal("STOP", pid);
+                victims.push(pid);
+            }
+        }
+        assert!(
+            Instant::now() < deadline,
+            "only {} worker subprocess(es) appeared",
+            victims.len()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for &pid in &victims {
+        signal("9", pid);
     }
 
     let out = child.wait_with_output().expect("campaign finishes");

@@ -38,9 +38,9 @@ fn shard_strategy() -> impl Strategy<Value = ShardSpec> {
 }
 
 /// Semantic-config strategy. Only the wire-carried subset is varied: the
-/// encoder deliberately drops hosting knobs (`workers`, `fiber_stack`,
-/// ...), so varying them would make "decode equals original" vacuously
-/// false for reasons unrelated to framing.
+/// encoder deliberately drops parallelism knobs (`workers`,
+/// `steal_batch`, ...), so varying them would make "decode equals
+/// original" vacuously false for reasons unrelated to framing.
 fn config_strategy() -> impl Strategy<Value = Config> {
     (
         (100u32..5000, 0u32..10, 0u32..10, 1u64..1 << 40),

@@ -93,28 +93,6 @@ pub struct Config {
     /// to leave on by default. Bench probes turn it off to measure the
     /// bare engine. Ignored (subsumed) when `validate_axioms` is set.
     pub debug_audit: bool,
-    /// Host every modeled thread of an execution on userspace fibers of
-    /// the explorer thread where the target supports it (see
-    /// `crate::fiber`). Purely a hosting-mechanism switch: the explored
-    /// tree, counters, and bug reports are identical either way (pinned
-    /// by `tests/fiber_equivalence.rs`), so — like `workers` — it is
-    /// excluded from the campaign layer's semantic config hash. `false`
-    /// forces the OS-thread pool, which the equivalence suites and the
-    /// A/B benchmark rows use as the reference host. The default is
-    /// `true`, overridable process-wide with `CDSSPEC_FIBER_HOSTING=0`
-    /// (used to re-run whole suites against the reference host without
-    /// code changes).
-    pub fiber_hosting: bool,
-    /// Usable stack size, in bytes, of each fiber when `fiber_hosting`
-    /// is in effect (the guard region is extra). Rounded up to a whole
-    /// number of pages and clamped to a 64 KiB floor at use; `0` means
-    /// "the built-in default" (1 MiB). Like `workers` and
-    /// `fiber_hosting` this is a hosting-mechanism knob — the explored
-    /// tree is identical at any size that doesn't overflow — so it is
-    /// excluded from the campaign layer's semantic config hash. The
-    /// default is overridable process-wide with `CDSSPEC_FIBER_STACK`
-    /// (a byte count, e.g. `262144`).
-    pub fiber_stack: usize,
     /// Print every explored trace (debugging).
     pub verbose: bool,
 }
@@ -143,13 +121,6 @@ impl Default for Config {
             stop_on_first_bug: true,
             validate_axioms: false,
             debug_audit: true,
-            fiber_hosting: std::env::var("CDSSPEC_FIBER_HOSTING")
-                .map(|v| v != "0")
-                .unwrap_or(true),
-            fiber_stack: std::env::var("CDSSPEC_FIBER_STACK")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(crate::fiber::DEFAULT_STACK_SIZE),
             verbose: false,
         }
     }
@@ -192,18 +163,6 @@ mod tests {
         assert!(Config::validating().validate_axioms);
         assert!(c.time_budget.is_none(), "no deadline unless asked");
         assert!(c.hang_timeout.is_some(), "watchdog on by default");
-        // `fiber_hosting` defaults to the env override so whole suites can
-        // be re-run against the reference host; assert the resolution rule
-        // rather than a fixed value so the test itself survives that mode.
-        let want = std::env::var("CDSSPEC_FIBER_HOSTING")
-            .map(|v| v != "0")
-            .unwrap_or(true);
-        assert_eq!(c.fiber_hosting, want, "fiber hosting on unless overridden");
-        let want_stack = std::env::var("CDSSPEC_FIBER_STACK")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(crate::fiber::DEFAULT_STACK_SIZE);
-        assert_eq!(c.fiber_stack, want_stack, "stack default env-resolved");
         assert_eq!(c.deadline_samples, 0, "sampling degradation is opt-in");
         assert!(c.resume_script.is_none());
         assert!(c.resume_shards.is_none());

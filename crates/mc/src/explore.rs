@@ -47,7 +47,7 @@ use crate::config::Config;
 use crate::plugin::{Plugin, PluginFactory};
 use crate::report::{Bug, Checkpoint, FoundBug, ShardSpec, Stats, StopReason};
 use crate::runtime::{run_once, ChoiceRec, Reuse, RunOutcome, RunResult};
-use crate::worker::{panic_message, Pool};
+use crate::worker::{in_model, install_quiet_panic_hook, panic_message};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -97,7 +97,6 @@ pub(crate) enum ShardEnd {
 /// One DFS campaign over a test closure's choice tree (or a shard of it).
 pub(crate) struct Explorer {
     pub(crate) config: Config,
-    pool: Arc<Mutex<Pool>>,
     test: Arc<dyn Fn() + Send + Sync>,
     pub(crate) stats: Stats,
     /// Rendered messages of every bug seen (the dedup key).
@@ -120,9 +119,9 @@ impl Explorer {
     pub(crate) fn new(config: Config, prior: Stats, test: Arc<dyn Fn() + Send + Sync>) -> Self {
         let deadline = config.time_budget.map(|b| Instant::now() + b);
         let seen_bugs = prior.bugs.iter().map(|b| b.bug.to_string()).collect();
+        install_quiet_panic_hook();
         Explorer {
             config,
-            pool: Arc::new(Mutex::new(Pool::new())),
             test,
             stats: prior,
             seen_bugs,
@@ -176,7 +175,6 @@ impl Explorer {
     ) -> (RunResult, Option<StopReason>) {
         let mut result = run_once(
             &self.config,
-            &self.pool,
             script,
             Arc::clone(&self.test),
             sampler,
@@ -189,14 +187,9 @@ impl Explorer {
 
         if self.config.verbose {
             eprintln!(
-                "== execution {} ({:?}{}) ==\n{}",
+                "== execution {} ({:?}) ==\n{}",
                 self.stats.executions,
                 result.outcome,
-                if result.hung {
-                    ", wedged worker leaked"
-                } else {
-                    ""
-                },
                 result.trace.render()
             );
         }
@@ -278,19 +271,6 @@ impl Explorer {
             }
             RunOutcome::Diverged => self.stats.diverged += 1,
             RunOutcome::SleepPruned => self.stats.sleep_pruned += 1,
-            RunOutcome::EngineError(message) => {
-                // Not a property of the modeled code: the engine could not
-                // run the execution (e.g. the pool's respawn budget ran
-                // out). Record it so the report explains itself, and stop
-                // with `Errored` so the run never claims completeness.
-                self.record_bug(
-                    Bug::EngineFailure {
-                        message: message.clone(),
-                    },
-                    &result.trace,
-                );
-                stop = Some(StopReason::Errored);
-            }
         }
         // The plugins are done with the trace: hand the buffer back to the
         // harness so the next execution's event/mo/sc vectors start at
@@ -513,6 +493,14 @@ fn initial_shards(config: &Config, checkpoint: &Checkpoint) -> Vec<ShardSpec> {
 
 /// Common implementation: resolve the starting shards, pick the engine by
 /// `Config::workers`, and account wall-clock on top of the prior elapsed.
+///
+/// An exploration started from inside a modeled thread (a nested
+/// exploration) cannot host fibers on the caller's OS thread — that thread
+/// is already hosting the outer execution — so the sequential engine runs
+/// on a fresh OS thread, which hosts its own fibers. The thread is owned,
+/// not scoped: an outer hang rescue may abandon the calling fiber's frame
+/// while the inner exploration still runs. Parallel runs need no special
+/// case, since every shard thread hosts its own fibers.
 fn explore_impl(
     config: Config,
     checkpoint: Checkpoint,
@@ -530,7 +518,13 @@ fn explore_impl(
             PluginSource::Direct(v) => v,
             PluginSource::Factory(f) => f(),
         };
-        sequential_explore(config, prior, initial, owned, test)
+        if in_model() {
+            std::thread::spawn(move || sequential_explore(config, prior, initial, owned, test))
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        } else {
+            sequential_explore(config, prior, initial, owned, test)
+        }
     } else {
         crate::parallel::explore_parallel(&config, prior, initial, plugins, test, workers)
     };

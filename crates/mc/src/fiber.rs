@@ -1,75 +1,61 @@
 //! Userspace-fiber execution: every modeled thread of one execution runs
 //! on the *same* OS thread, on its own guarded stack, and control moves
-//! between them with a ~20-instruction stack switch instead of a futex
-//! round trip.
+//! between them with a ~20-instruction stack switch.
 //!
 //! # Why
 //!
 //! The token-passing runtime (see [`crate::runtime`]) is strictly
 //! sequential: exactly one modeled thread executes user code at any
 //! moment, and every visible operation hands the token to the next thread
-//! the DFS script selects. Hosting modeled threads on pooled OS threads
-//! therefore buys no parallelism — it only pays, per token transfer, a
-//! condvar wake plus a park: two kernel entries and a scheduler pass. On
-//! the single-core CI hosts this is *half the wall clock* of a figure-7
-//! exploration (`sys` ≈ `user` in `time`'s output). CDSChecker itself
-//! runs modeled threads on `ucontext` fibers for exactly this reason.
+//! the DFS script selects. Hosting modeled threads on OS threads would buy
+//! no parallelism — it would only pay, per token transfer, a wake plus a
+//! park: two kernel entries and a scheduler pass. CDSChecker runs its
+//! modeled threads on `ucontext` fibers for exactly this reason; this
+//! module is the same design with a hand-written x86_64 switch.
 //!
 //! # How
 //!
 //! [`run_execution`] hosts one execution: it creates a fiber for the main
 //! modeled thread and switches to it; [`crate::runtime::spawn_thread`]
-//! creates further fibers in place of pool dispatches. A fiber that must
-//! wait for its reply picks the next runnable fiber itself (the thread
-//! whose reply the scheduler just deposited, or a spawned-but-not-yet-run
-//! fiber holding the running token) and switches straight to it — the
-//! scheduling *decisions* stay in [`crate::runtime::schedule`], byte for
-//! byte the same as under OS-thread hosting; only the transfer mechanism
-//! changes. The equivalence is pinned by `tests/fiber_equivalence.rs`.
-//!
-//! Host selection lives in one place, [`host_choice`], shared by
-//! [`enabled_here`] and `runtime::run_once` so the two sites cannot
-//! drift: fibers where the target supports them and
-//! `Config::fiber_hosting` asks for them; the inline-main fast path where
-//! fibers are unavailable but the explorer is still free; the OS-thread
-//! pool otherwise (notably for *nested* explorations, where the caller is
-//! itself a modeled thread). A configured hang watchdog no longer forces
-//! the pool on Linux: stall detection runs on a dedicated monitor thread
-//! (`mod watchdog`) and a wedged fiber is preempted by a directed signal
-//! (`mod signals`), so `Config::default` — watchdog on — gets the fiber
-//! fast path.
+//! creates further fibers. A fiber that must wait for its reply picks the
+//! next runnable fiber itself (the thread whose reply the scheduler just
+//! deposited, or a spawned-but-not-yet-run fiber holding the running
+//! token) and switches straight to it — the scheduling *decisions* stay in
+//! `runtime::schedule`; this module only moves control. Fiber
+//! state is thread-local, so every explorer thread — the caller of
+//! `explore`, each parallel shard thread, the fresh thread a nested
+//! exploration runs on — hosts its own fibers.
 //!
 //! # Hang rescue
 //!
-//! The explorer thread *is* the fiber host, so the in-function watchdog
-//! poll of the OS-thread path can never run while a fiber is wedged. A
-//! lazily spawned `cdsspec-watchdog` monitor thread watches the
-//! per-execution heartbeat (`Shared::progress`, a lock-free atomic — a
-//! wedged host never releases `Shared::inner`, so the monitor must not
-//! take it). On a stall it sets a preemption request and `pthread_kill`s
-//! the host with `SIGURG`, re-sending every tick until the handler
-//! accepts. The handler — when the *preemption gate* (below) says user
-//! code was running — stack-switches from the wedged fiber straight back
-//! to the host continuation saved by [`run_execution`]'s switch-out. The
-//! host then reports `Bug::InternalHang` (with the wedged tid and the
-//! last-committed event), marks the wedged fiber dead + abandoned,
-//! poisons the stack pool, and keeps draining the surviving fibers of the
-//! aborted execution. The abandoned stack (and whatever its frames own)
-//! is leaked — bounded, one stack per hang, mirroring the wedged-job leak
-//! of the OS-thread host.
+//! The explorer thread *is* the fiber host, so it cannot poll for stalls
+//! while a fiber is wedged. A lazily spawned `cdsspec-watchdog` monitor
+//! thread watches the per-execution heartbeat (`Shared::progress`, a
+//! lock-free atomic — a wedged host never releases `Shared::inner`, so the
+//! monitor must not take it). On a stall it sets a preemption request and
+//! `pthread_kill`s the host with `SIGURG`, re-sending every tick until the
+//! handler accepts. The handler — when the *preemption gate* (below) says
+//! user code was running — stack-switches from the wedged fiber straight
+//! back to the host continuation saved by [`run_execution`]'s switch-out.
+//! The host then reports `Bug::InternalHang` (with the wedged tid and the
+//! last-committed event), marks the wedged fiber dead + abandoned, poisons
+//! the stack pool, and keeps draining the surviving fibers of the aborted
+//! execution. The abandoned stack (and whatever its frames own) is leaked
+//! — bounded, one stack per hang.
 //!
 //! # Stack overflow
 //!
-//! On Linux/x86_64 each fiber stack is a raw `mmap` with a `PROT_NONE`
-//! guard region below it; a `SIGSEGV`-on-altstack handler converts guard
-//! hits under an open gate into the same rescue mechanism, reporting
-//! `Bug::StackOverflow` instead of corrupting the heap. Everywhere else
-//! (and if `mmap` fails) stacks fall back to plain heap buffers with
-//! canary words at the low end, re-armed on every pool checkout and
-//! checked at every switch — detection after the fact, but deterministic
-//! and allocation-free. Guard faults with the gate *closed* (engine
-//! frames overflowing, which would mean engine state is unrecoverable)
-//! fail fast with an async-signal-safe `write(2)` + `abort`.
+//! Each fiber stack is a raw `mmap` with a `PROT_NONE` guard region below
+//! it; a `SIGSEGV`-on-altstack handler converts guard hits under an open
+//! gate into the same rescue mechanism, reporting `Bug::StackOverflow`
+//! instead of corrupting the heap. If `mmap` fails, the stack falls back
+//! to a plain heap buffer. Every stack carries canary words at the low
+//! end, re-armed on every pool checkout and checked at every switch —
+//! detection after the fact, but deterministic and allocation-free, and
+//! the only detection a heap stack has. Guard faults with the gate
+//! *closed* (engine frames overflowing, which would mean engine state is
+//! unrecoverable) fail fast with an async-signal-safe `write(2)` +
+//! `abort`.
 //!
 //! # The preemption gate
 //!
@@ -104,12 +90,11 @@
 //!   tracks engine sections). The window is nanoseconds against a
 //!   multi-second stall timeout, the failure mode is a wedged explorer
 //!   (no corruption of checked state), and the campaign supervisor's
-//!   process-level kill is the backstop — same contract as a wedged
-//!   OS-thread job.
+//!   process-level kill is the backstop.
 //! * Residual hazard, accepted: a fiber abandoned while blocked in
 //!   `std`'s thread parker would leave the *host* OS thread's parker in
 //!   a parked state. Contained: the explorer never calls
-//!   `std::thread::park`, and the runtime's own blocking uses condvars.
+//!   `std::thread::park`.
 //! * x87/SSE control words are not switched (nothing in this process
 //!   changes them) — pre-existing caveat of the switch primitive.
 
@@ -120,89 +105,16 @@ use std::time::Duration;
 
 use cdsspec_c11::Tid;
 
-use crate::config::Config;
 use crate::report::Bug;
 use crate::runtime::Shared;
 use crate::worker::{self, Job};
 
-/// Is fiber hosting implemented for this target?
-pub(crate) const SUPPORTED: bool = cfg!(all(target_arch = "x86_64", unix));
-
-/// Is watchdog preemption (signal-directed rescue of a wedged fiber)
-/// implemented for this target? Subset of [`SUPPORTED`]: the rescue
-/// machinery leans on Linux signal semantics (`pthread_kill`, sigaltstack
-/// layout, guard-page `mmap`).
-pub(crate) const PREEMPT_SUPPORTED: bool = cfg!(all(target_arch = "x86_64", target_os = "linux"));
-
-/// How one execution's modeled threads are hosted. Selected once per
-/// execution by [`host_choice`] — the single predicate shared by
-/// [`enabled_here`] and `runtime::run_once`, so the gating logic cannot
-/// be re-implemented divergently at the two sites.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum HostChoice {
-    /// Every modeled thread on userspace fibers of the explorer thread.
-    Fiber,
-    /// Main modeled thread inline on the explorer, children on the pool.
-    Inline,
-    /// Every modeled thread on the OS-thread pool.
-    Pool,
-}
-
-/// Pick the hosting mechanism for an execution under `config`. See the
-/// module docs for why each condition exists.
-pub(crate) fn host_choice(config: &Config) -> HostChoice {
-    if worker::in_model() {
-        // Nested exploration: the caller is itself a modeled thread and
-        // must stay free to respond to its own scheduler.
-        return HostChoice::Pool;
-    }
-    if SUPPORTED && config.fiber_hosting && (config.hang_timeout.is_none() || PREEMPT_SUPPORTED) {
-        return HostChoice::Fiber;
-    }
-    if config.hang_timeout.is_none() {
-        // No watchdog to poll: the explorer can at least host the main
-        // modeled thread inline.
-        return HostChoice::Inline;
-    }
-    HostChoice::Pool
-}
-
-/// Should this execution run on fibers? Thin view over [`host_choice`]
-/// (production code matches on the full choice; the test suites assert
-/// through this predicate).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn enabled_here(config: &Config) -> bool {
-    matches!(host_choice(config), HostChoice::Fiber)
-}
-
-/// Default fiber stack size (usable, excluding the guard region) when
-/// `Config::fiber_stack` is 0 or untouched. Untouched pages stay
-/// uncommitted; generous because modeled closures may nest a whole inner
-/// exploration.
+/// Usable size of every fiber stack (the guard region is extra).
+/// Untouched pages stay uncommitted; generous because modeled closures
+/// may nest a whole inner exploration.
 pub(crate) const DEFAULT_STACK_SIZE: usize = 1 << 20;
 
-/// Smallest usable stack this module will hand out, whatever the config
-/// asks for: enough for the trampoline, the entry frames, and the engine
-/// code a fiber runs before its first switch-out.
-const MIN_STACK_SIZE: usize = 64 << 10;
-
-/// Page granularity stack sizes are rounded to.
-const PAGE: usize = 4096;
-
-/// Resolve a requested `Config::fiber_stack` into the size actually
-/// mapped: 0 means the default, everything is rounded up to a whole page
-/// and clamped to [`MIN_STACK_SIZE`].
-fn effective_stack_size(requested: usize) -> usize {
-    let want = if requested == 0 {
-        DEFAULT_STACK_SIZE
-    } else {
-        requested
-    };
-    want.max(MIN_STACK_SIZE).div_ceil(PAGE) * PAGE
-}
-
 /// Size of the `PROT_NONE` guard region below each mapped stack.
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 const GUARD_SIZE: usize = 1 << 16;
 
 /// Canary pattern written at the low end of every stack; see
@@ -331,13 +243,11 @@ enum StackMem {
     /// Raw `mmap` of `GUARD_SIZE + size` bytes with the low `GUARD_SIZE`
     /// bytes `PROT_NONE` (`base` is the mapping start; the usable stack
     /// begins at `base + GUARD_SIZE`).
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     Mapped { base: *mut u8, size: usize },
 }
 
 impl StackMem {
     fn new(size: usize) -> StackMem {
-        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         if let Some(base) = map_guarded(size) {
             return StackMem::Mapped { base, size };
         }
@@ -348,7 +258,6 @@ impl StackMem {
     fn size(&self) -> usize {
         match self {
             StackMem::Heap(b) => b.len(),
-            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
             StackMem::Mapped { size, .. } => *size,
         }
     }
@@ -357,7 +266,6 @@ impl StackMem {
     fn lo(&self) -> *const u8 {
         match self {
             StackMem::Heap(b) => b.as_ptr() as *const u8,
-            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
             StackMem::Mapped { base, .. } => unsafe { base.add(GUARD_SIZE) },
         }
     }
@@ -365,7 +273,6 @@ impl StackMem {
     fn lo_mut(&mut self) -> *mut u8 {
         match self {
             StackMem::Heap(b) => b.as_mut_ptr() as *mut u8,
-            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
             StackMem::Mapped { base, .. } => unsafe { base.add(GUARD_SIZE) },
         }
     }
@@ -373,7 +280,6 @@ impl StackMem {
 
 impl Drop for StackMem {
     fn drop(&mut self) {
-        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         if let StackMem::Mapped { base, size } = self {
             unsafe { sys::munmap(*base as *mut core::ffi::c_void, GUARD_SIZE + *size) };
         }
@@ -383,7 +289,6 @@ impl Drop for StackMem {
 /// `mmap` a guarded stack: RW anonymous mapping with the low guard
 /// region re-protected to `PROT_NONE`. `None` on any failure (the caller
 /// falls back to a heap stack).
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn map_guarded(size: usize) -> Option<*mut u8> {
     unsafe {
         let len = GUARD_SIZE + size;
@@ -451,7 +356,6 @@ impl Stack {
     fn guard_range(&self) -> (usize, usize) {
         match &self.mem {
             StackMem::Heap(_) => (0, 0),
-            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
             StackMem::Mapped { base, .. } => {
                 let lo = *base as usize;
                 (lo, lo + GUARD_SIZE)
@@ -464,7 +368,6 @@ impl Stack {
     /// `false` here means the mapping can no longer be trusted at all)
     /// and re-arm the canary. `false` ⇒ discard the stack.
     fn reverify(&mut self) -> bool {
-        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         if let StackMem::Mapped { base, .. } = &self.mem {
             let ok = unsafe {
                 sys::mprotect(*base as *mut core::ffi::c_void, GUARD_SIZE, sys::PROT_NONE) == 0
@@ -484,22 +387,18 @@ thread_local! {
     static STACK_POOL: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Take a sanitized stack of exactly `size` usable bytes from the pool
-/// (re-arming its canary and re-verifying its guard), or map a fresh
-/// one. Other sizes stay pooled: an execution at a custom
-/// `Config::fiber_stack` must never inherit a smaller (or wastefully
-/// larger) stack mapped for an earlier config.
-fn checkout_stack(size: usize) -> Stack {
+/// Take a sanitized stack from the pool (re-arming its canary and
+/// re-verifying its guard), or map a fresh one.
+fn checkout_stack() -> Stack {
     STACK_POOL.with(|pool| {
         let mut pool = pool.borrow_mut();
-        while let Some(at) = pool.iter().position(|s| s.size() == size) {
-            let mut s = pool.swap_remove(at);
+        while let Some(mut s) = pool.pop() {
             if s.reverify() {
                 return s;
             }
             // Unverifiable guard: drop (unmaps) rather than reuse.
         }
-        Stack::new(size)
+        Stack::new(DEFAULT_STACK_SIZE)
     })
 }
 
@@ -552,15 +451,6 @@ struct FiberRt {
     current: Option<Tid>,
     /// A rescue happened: discard the stack pool at teardown.
     poisoned: bool,
-    /// Usable bytes per fiber stack for this execution (already
-    /// page-rounded and clamped by [`effective_stack_size`]).
-    stack_size: usize,
-}
-
-/// Is a fiber-hosted execution in progress on this OS thread?
-pub(crate) fn active() -> bool {
-    let _gate = engine_section();
-    RT.with(|rt| rt.borrow().is_some())
 }
 
 /// The lowest-tid fiber that has never run. Token accounting (see
@@ -588,7 +478,6 @@ pub(crate) fn run_execution(
     shared: &Arc<Shared>,
     closure: Box<dyn FnOnce() + Send + 'static>,
     hang_timeout: Option<Duration>,
-    stack_size: usize,
 ) {
     RT.with(|rt| {
         let prev = rt.borrow_mut().replace(FiberRt {
@@ -597,7 +486,6 @@ pub(crate) fn run_execution(
             host_sp: Box::new(0),
             current: None,
             poisoned: false,
-            stack_size: effective_stack_size(stack_size),
         });
         debug_assert!(prev.is_none(), "nested fiber executions on one thread");
     });
@@ -670,21 +558,16 @@ pub(crate) fn run_execution(
 }
 
 /// Create (but do not run) the fiber for modeled thread `tid`. Called by
-/// [`crate::runtime::spawn_thread`] in place of a pool dispatch; the new
-/// fiber holds the running token until its first visible operation.
+/// [`run_execution`] for the main thread and by
+/// [`crate::runtime::spawn_thread`] for every child; the new fiber holds
+/// the running token until its first visible operation.
 pub(crate) fn spawn_fiber(
     tid: Tid,
     shared: Arc<Shared>,
     closure: Box<dyn FnOnce() + Send + 'static>,
 ) {
     let _gate = engine_section();
-    let size = RT.with(|rt| {
-        rt.borrow()
-            .as_ref()
-            .expect("spawn_fiber outside a fiber execution")
-            .stack_size
-    });
-    let mut stack = checkout_stack(size);
+    let mut stack = checkout_stack();
     let job = Box::new(Job {
         tid,
         shared,
@@ -852,10 +735,9 @@ fn install_ctx(tid: Option<Tid>, shared: &Arc<Shared>) {
     }));
 }
 
-/// Root of every fiber: run the modeled thread like a pooled worker
-/// would, then hand control to whichever fiber the runtime says runs
-/// next. `arg` is the boxed [`Job`] smuggled through the crafted initial
-/// stack frame.
+/// Root of every fiber: run the modeled thread, then hand control to
+/// whichever fiber the runtime says runs next. `arg` is the boxed [`Job`]
+/// smuggled through the crafted initial stack frame.
 extern "C" fn fiber_entry(arg: usize) -> ! {
     // The switch that started this fiber left its transfer window open.
     end_transfer();
@@ -864,11 +746,10 @@ extern "C" fn fiber_entry(arg: usize) -> ! {
     // run_job installs the context itself and catches every unwind
     // (normal return, DieMarker abort, real panic) before this frame.
     worker::run_job(*job);
-    // Past this point the job's exit is fully accounted (`job_exited`
-    // ran); a rescue landing in the remaining window would double-count
-    // it. Shut the gate for the rest of this fiber's life — the guard is
-    // deliberately leaked; the terminal switch discards this fiber's
-    // gate state anyway.
+    // Past this point the thread's exit is fully accounted; a rescue
+    // landing in the remaining window would double-count it. Shut the
+    // gate for the rest of this fiber's life — the guard is deliberately
+    // leaked; the terminal switch discards this fiber's gate state anyway.
     std::mem::forget(engine_section());
     let next = {
         let st = shared.inner.lock();
@@ -882,7 +763,6 @@ extern "C" fn fiber_entry(arg: usize) -> ! {
 // discipline). x86_64 Linux only; glibc and musl share these layouts.
 // ---------------------------------------------------------------------
 
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod sys {
     use core::ffi::{c_int, c_void};
 
@@ -985,7 +865,6 @@ mod sys {
 // Signal handlers: SIGURG preemption + SIGSEGV guard-page conversion.
 // ---------------------------------------------------------------------
 
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod signals {
     use super::*;
     use core::ffi::{c_int, c_void};
@@ -1152,20 +1031,10 @@ mod signals {
     }
 }
 
-#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-mod signals {
-    /// No preemption machinery off Linux/x86_64: [`super::host_choice`]
-    /// only picks fibers+watchdog where it exists, and canary checks are
-    /// the (portable) overflow detection.
-    pub(super) fn ensure() {}
-    pub(super) fn unblock_after_rescue() {}
-}
-
 // ---------------------------------------------------------------------
 // Watchdog monitor: one detached thread watching every armed host.
 // ---------------------------------------------------------------------
 
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod watchdog {
     use super::*;
     use parking_lot::{Condvar, Mutex};
@@ -1303,27 +1172,9 @@ mod watchdog {
     }
 }
 
-#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-mod watchdog {
-    use super::Shared;
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    pub(super) struct WatchGuard;
-
-    pub(super) fn arm(_shared: &Arc<Shared>, timeout: Option<Duration>) -> Option<WatchGuard> {
-        debug_assert!(
-            timeout.is_none(),
-            "host_choice only picks watchdogged fiber hosting where preemption is implemented"
-        );
-        None
-    }
-}
-
 /// The machine-dependent pieces: a System-V x86_64 stack switch and the
 /// initial-frame layout that makes [`arch::switch_stacks`] "return" into
 /// [`fiber_entry`] on a fresh stack.
-#[cfg(all(target_arch = "x86_64", unix))]
 mod arch {
     use super::{fiber_entry, Stack};
 
@@ -1397,7 +1248,7 @@ mod arch {
     }
 }
 
-#[cfg(all(test, target_arch = "x86_64", unix))]
+#[cfg(test)]
 mod switch_tests {
     use super::*;
 
@@ -1471,50 +1322,6 @@ mod switch_tests {
 }
 
 #[cfg(test)]
-mod host_choice_tests {
-    use super::*;
-
-    #[test]
-    fn default_config_rides_fibers_where_preemption_exists() {
-        // Pin `fiber_hosting` explicitly so the test holds even when the
-        // suite itself runs under `CDSSPEC_FIBER_HOSTING=0`.
-        let c = Config {
-            fiber_hosting: true,
-            ..Config::default()
-        };
-        assert!(c.hang_timeout.is_some(), "default keeps the watchdog");
-        if PREEMPT_SUPPORTED {
-            assert!(
-                enabled_here(&c),
-                "the watchdog must no longer force the OS-thread pool"
-            );
-        }
-    }
-
-    #[test]
-    fn fiber_hosting_false_forces_the_reference_host() {
-        let mut c = Config {
-            fiber_hosting: false,
-            ..Config::default()
-        };
-        assert!(!enabled_here(&c));
-        assert_eq!(host_choice(&c), HostChoice::Pool);
-        c.hang_timeout = None;
-        assert_eq!(host_choice(&c), HostChoice::Inline);
-    }
-
-    #[test]
-    fn watchdog_free_configs_keep_fibers_on_all_supported_targets() {
-        let c = Config {
-            hang_timeout: None,
-            fiber_hosting: true,
-            ..Config::default()
-        };
-        assert_eq!(enabled_here(&c), SUPPORTED);
-    }
-}
-
-#[cfg(test)]
 mod guard_tests {
     use super::*;
 
@@ -1539,7 +1346,7 @@ mod guard_tests {
         unsafe { s.mem.lo_mut().add(8).write(0xCD) };
         assert!(!s.canary_ok());
         STACK_POOL.with(|p| p.borrow_mut().push(s));
-        let out = checkout_stack(DEFAULT_STACK_SIZE);
+        let out = checkout_stack();
         assert!(out.canary_ok(), "checkout must re-arm the canary");
         poison_pool();
     }
@@ -1550,51 +1357,8 @@ mod guard_tests {
         STACK_POOL.with(|p| p.borrow_mut().push(Stack::new(DEFAULT_STACK_SIZE)));
         poison_pool();
         assert_eq!(pool_size(), 0, "poisoning empties the pool");
-        let s = checkout_stack(DEFAULT_STACK_SIZE);
+        let s = checkout_stack();
         assert!(s.canary_ok());
-    }
-
-    #[test]
-    fn effective_size_rounds_and_clamps() {
-        assert_eq!(effective_stack_size(0), DEFAULT_STACK_SIZE);
-        assert_eq!(effective_stack_size(1), MIN_STACK_SIZE);
-        assert_eq!(effective_stack_size(MIN_STACK_SIZE), MIN_STACK_SIZE);
-        assert_eq!(
-            effective_stack_size(MIN_STACK_SIZE + 1),
-            MIN_STACK_SIZE + PAGE
-        );
-        assert_eq!(effective_stack_size(256 << 10), 256 << 10);
-    }
-
-    #[test]
-    fn custom_sized_stacks_keep_guard_and_canary() {
-        // The guard/canary machinery must hold at non-default sizes.
-        let sz = effective_stack_size(256 << 10);
-        let mut s = Stack::new(sz);
-        assert_eq!(s.size(), sz);
-        assert!(s.canary_ok());
-        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-        if let StackMem::Mapped { .. } = &s.mem {
-            let (lo, hi) = s.guard_range();
-            assert_eq!(hi - lo, GUARD_SIZE);
-            assert_eq!(hi, s.mem.lo() as usize, "guard sits just below the stack");
-        }
-        assert!(s.reverify(), "reverify holds at custom sizes");
-    }
-
-    #[test]
-    fn checkout_is_keyed_by_size() {
-        poison_pool();
-        let small = effective_stack_size(128 << 10);
-        STACK_POOL.with(|p| p.borrow_mut().push(Stack::new(small)));
-        // Asking for the default size must not hand out the small stack.
-        let big = checkout_stack(DEFAULT_STACK_SIZE);
-        assert_eq!(big.size(), DEFAULT_STACK_SIZE);
-        assert_eq!(pool_size(), 1, "the small stack stays pooled");
-        let reused = checkout_stack(small);
-        assert_eq!(reused.size(), small);
-        assert_eq!(pool_size(), 0, "size match reuses the pooled stack");
-        poison_pool();
     }
 
     #[test]
@@ -1612,7 +1376,6 @@ mod guard_tests {
         assert_eq!(ENGINE_DEPTH.get(), 0);
     }
 
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     #[test]
     fn mapped_stacks_have_guard_regions() {
         let s = Stack::new(DEFAULT_STACK_SIZE);
@@ -1628,21 +1391,5 @@ mod guard_tests {
                 assert_eq!(s.guard_range(), (0, 0));
             }
         }
-    }
-}
-
-/// Stub for targets without a stack-switch implementation: fiber hosting
-/// reports unsupported ([`SUPPORTED`] is `false`), so none of these can
-/// be reached.
-#[cfg(not(all(target_arch = "x86_64", unix)))]
-mod arch {
-    use super::Stack;
-
-    pub(super) unsafe extern "C" fn switch_stacks(_save_sp: *mut usize, _load_sp: usize) {
-        unreachable!("fiber hosting is not supported on this target");
-    }
-
-    pub(super) fn craft_initial_frame(_stack: &mut Stack, _arg: usize) {
-        unreachable!("fiber hosting is not supported on this target");
     }
 }

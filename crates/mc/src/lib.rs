@@ -49,6 +49,11 @@
 
 #![warn(missing_docs)]
 
+// Modeled threads run on hand-written x86_64 fibers (`fiber`), whose hang
+// rescue and stack-overflow guards use Linux signals and `mmap`.
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+compile_error!("cdsspec-mc supports x86_64 Linux only");
+
 pub mod api;
 pub mod atomic;
 pub mod config;

@@ -1,11 +1,10 @@
-//! The worker ⇄ controller protocol.
+//! The modeled thread ⇄ scheduler protocol.
 //!
-//! Modeled threads run on pooled OS threads. At every *visible operation*
-//! (atomic access, fence, join, spin hint) the worker sends a [`Request`]
-//! and parks until the controller answers with a [`Reply`]. The controller
-//! only acts when every live modeled thread is parked, which makes
-//! scheduling decisions independent of OS timing — the determinism the
-//! stateless DFS depends on.
+//! At every *visible operation* (atomic access, fence, join, spin hint) a
+//! modeled thread posts an [`Op`] and parks until the scheduler answers
+//! with a [`Reply`]. The scheduler only acts when every live modeled
+//! thread is parked, which makes scheduling decisions independent of OS
+//! timing — the determinism the stateless DFS depends on.
 
 use cdsspec_c11::{LocId, MemOrd, Tid, Val};
 

@@ -1,8 +1,8 @@
 //! The parallel frontier-sharded exploration engine.
 //!
-//! `N = Config::workers` independent [`Explorer`] instances (each with its
-//! own modeled-thread pool, its own statistics, and — via
-//! [`crate::explore_factory`] — its own plugins) drain a shared queue of
+//! `N = Config::workers` independent [`Explorer`] instances (each on its
+//! own OS thread hosting its own fibers, with its own statistics, and —
+//! via [`crate::explore_factory`] — its own plugins) drain a shared queue of
 //! [`ShardSpec`] frontier shards. The choice tree is deterministic, so any
 //! partition of its leaves yields the same per-leaf outcomes; the engine
 //! only has to guarantee the shards *are* a partition:

@@ -61,31 +61,22 @@ pub enum Bug {
         /// *configured* value, not the measured wall-clock stall, so the
         /// rendered message — the bug dedup key — is deterministic.
         stalled_ms: u64,
-        /// The modeled thread last granted the scheduling token before
-        /// progress stopped. Under fiber hosting this is exactly the
-        /// wedged fiber; under the OS-thread pool it is the runtime's
-        /// best estimate (several threads may hold running tokens).
-        /// `None` only for hangs reported before any thread ran.
+        /// The wedged modeled thread: the fiber the watchdog's signal
+        /// preempted. `None` only for hangs reported before any thread
+        /// ran.
         tid: Option<Tid>,
         /// Short tag of the last visible operation committed before the
         /// stall (`event-id:kind@thread`), when any event was committed.
         last_op: Option<String>,
     },
-    /// A modeled closure overran its fiber stack. On Linux the `PROT_NONE`
-    /// guard region below the stack converts the overflow into this clean
-    /// report; elsewhere a canary word checked at every fiber switch
-    /// catches it (best-effort — the guard page is the hard stop).
+    /// A modeled closure overran its fiber stack. The `PROT_NONE` guard
+    /// region below the stack converts the overflow into this clean
+    /// report; on the heap-stack fallback (when `mmap` fails) a canary
+    /// word checked at every fiber switch catches it (best-effort — the
+    /// guard page is the hard stop).
     StackOverflow {
         /// The overflowing modeled thread.
         tid: Tid,
-    },
-    /// The exploration engine itself failed (e.g. the OS thread pool could
-    /// not keep workers alive after bounded respawn attempts). Not a
-    /// defect in the modeled code: the run is incomplete and stops with
-    /// [`StopReason::Errored`].
-    EngineFailure {
-        /// What the engine could not do.
-        message: String,
     },
     /// A bug deserialized from a [`Checkpoint`]: only its category and
     /// rendered message survive the round trip.
@@ -111,7 +102,6 @@ impl Bug {
                 }
             }
             Bug::AxiomViolation { .. } => BugCategory::Internal,
-            Bug::EngineFailure { .. } => BugCategory::Internal,
             Bug::InternalHang { .. } => BugCategory::BuiltIn,
             Bug::StackOverflow { .. } => BugCategory::BuiltIn,
             Bug::Restored { category, .. } => *category,
@@ -139,7 +129,6 @@ impl std::fmt::Display for Bug {
             Bug::UserPanic { tid, message } => write!(f, "panic in {tid}: {message}"),
             Bug::Plugin { plugin, message } => write!(f, "[{plugin}] {message}"),
             Bug::AxiomViolation { message } => write!(f, "AXIOM VIOLATION (internal): {message}"),
-            Bug::EngineFailure { message } => write!(f, "engine failure: {message}"),
             Bug::InternalHang {
                 stalled_ms,
                 tid,

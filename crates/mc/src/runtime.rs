@@ -1,29 +1,30 @@
 //! Token-passing execution runtime.
 //!
-//! The original CDSChecker runs on one core, and so — typically — does
-//! this reproduction's CI environment. A dedicated controller thread
-//! would cost two context switches per visible operation; instead, the
-//! scheduling decision is made *inline by whichever worker parks last*:
+//! Exactly one modeled thread executes user code at any moment, and there
+//! is no controller thread: the scheduling decision is made *inline by
+//! whichever modeled thread parks last*:
 //!
 //! * every modeled thread, at a visible operation, locks the shared
 //!   [`ExecState`], records its pending op, and decrements the running
 //!   count;
-//! * the worker that brings the running count to zero runs the scheduler:
+//! * the thread that brings the running count to zero runs the scheduler:
 //!   it picks the next runnable thread (per the DFS replay script, with
 //!   sleep-set filtering), applies that thread's operation against the
 //!   memory-model engine, and deposits the reply;
 //! * if the chosen thread is *itself* — the common case, since the
 //!   default schedule prefers the currently running thread — it simply
-//!   continues: **zero context switches**. Otherwise it wakes the chosen
-//!   worker's condvar and parks.
+//!   continues: no switch at all. Otherwise it stack-switches to the
+//!   fiber that can make progress ([`fiber_next`], `crate::fiber`).
 //!
-//! The explorer thread only participates at execution boundaries.
+//! Every modeled thread is a fiber of the explorer's OS thread, so the
+//! explorer only participates at execution boundaries: [`run_once`]
+//! returns once `crate::fiber::run_execution` has drained the execution.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cdsspec_c11::{EventId, LocId, Tid, Trace};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -31,7 +32,7 @@ use crate::config::Config;
 use crate::memstate::MemState;
 use crate::msg::{Op, Reply, RmwKind};
 use crate::report::Bug;
-use crate::worker::{DieMarker, Job, Pool};
+use crate::worker::DieMarker;
 
 /// One recorded choice point.
 #[derive(Clone, Copy, Debug)]
@@ -53,10 +54,6 @@ pub(crate) enum RunOutcome {
     Diverged,
     /// Every runnable thread was asleep — a redundant interleaving.
     SleepPruned,
-    /// The engine itself failed (e.g. the OS thread pool exhausted its
-    /// bounded respawn budget). The execution is void and the campaign
-    /// stops with [`crate::StopReason::Errored`].
-    EngineError(String),
 }
 
 /// Result of one execution.
@@ -64,10 +61,6 @@ pub(crate) struct RunResult {
     pub outcome: RunOutcome,
     pub trace: Trace,
     pub choices: Vec<ChoiceRec>,
-    /// The execution wedged an OS worker that had to be leaked (the
-    /// watchdog aborted, but one job never exited). The per-execution
-    /// arena is intentionally kept alive in this case.
-    pub hung: bool,
     /// Choice-tree branches suppressed by rf-equivalence pruning at
     /// decision points this execution visited for the first time (see
     /// [`ExecState::at_fresh_node`]). Summing these over an exploration
@@ -96,8 +89,6 @@ pub(crate) struct ExecState {
     alive: Vec<bool>,
     /// Modeled threads currently executing user code.
     running: usize,
-    /// OS jobs that have not returned to the pool yet (arena safety).
-    active_jobs: usize,
     /// Sleep set.
     sleep: Vec<bool>,
     /// Total spin hints per thread.
@@ -145,8 +136,8 @@ pub(crate) struct ExecState {
     wake_floor: Vec<Option<(LocId, EventId)>>,
 }
 
-/// Shared handle between the explorer, the workers, and the user-facing
-/// primitives.
+/// Shared handle between the explorer, the modeled threads, and the
+/// user-facing primitives.
 pub(crate) struct Shared {
     pub inner: Mutex<ExecState>,
     /// Heartbeat counter: bumped on every scheduling decision (and by
@@ -156,11 +147,8 @@ pub(crate) struct Shared {
     /// watchdog's monitor thread must sample it while a wedged host may
     /// never release `inner`.
     pub(crate) progress: std::sync::atomic::AtomicU64,
-    /// Per-modeled-thread wakeups (indexed by tid; grown under the lock).
-    cvs: Mutex<Vec<Arc<Condvar>>>,
-    /// Explorer wakeup: outcome decided and all jobs drained.
-    done: Condvar,
-    /// Worker-side detected bug (data race), honored at the next decision.
+    /// Bug detected between decisions (a data race, a dead stack canary),
+    /// honored at the next decision.
     pub pending_bug: Mutex<Option<Bug>>,
     /// Fast-path guard for `pending_bug`: the scheduler checks this atomic
     /// on every decision and only touches the mutex when a bug was
@@ -168,29 +156,14 @@ pub(crate) struct Shared {
     /// with `Acquire`). The posting thread holds the running token, so the
     /// next scheduling decision is always ordered after the store.
     pending_bug_flag: std::sync::atomic::AtomicBool,
-    /// Per-execution allocations (freed by the explorer after `done`).
+    /// Per-execution allocations (freed by the explorer once the
+    /// execution has drained).
     pub arena: Mutex<Vec<Box<dyn std::any::Any + Send>>>,
-    /// The worker pool (needed by spawn).
-    pool: Arc<Mutex<Pool>>,
 }
 
 impl Shared {
-    fn cv(&self, tid: Tid) -> Arc<Condvar> {
-        self.cvs.lock()[tid.idx()].clone()
-    }
-
-    /// Make sure a condvar exists for `tid`, reusing one left over from an
-    /// earlier execution of this `Shared` (condvars are stateless between
-    /// executions).
-    fn ensure_cv(&self, tid: Tid) {
-        let mut cvs = self.cvs.lock();
-        if cvs.len() <= tid.idx() {
-            cvs.push(Arc::new(Condvar::new()));
-        }
-    }
-
-    /// Post a worker-side detected bug; honored at the next scheduling
-    /// decision.
+    /// Post a bug detected between decisions; honored at the next
+    /// scheduling decision.
     pub(crate) fn post_bug(&self, bug: Bug) {
         *self.pending_bug.lock() = Some(bug);
         self.pending_bug_flag
@@ -267,7 +240,6 @@ impl ExecState {
         self.replies.clear();
         self.alive.clear();
         self.running = 0;
-        self.active_jobs = 0;
         self.sleep.clear();
         self.spins.clear();
         self.last_sched = Tid::MAIN;
@@ -279,13 +251,9 @@ impl ExecState {
 
     /// Render the watchdog bug for this execution: the *configured*
     /// limit (not the measured stall — measured values differ run to run
-    /// and would defeat bug-string dedup and fiber/pool equivalence),
-    /// the `wedged` thread, and the last-committed trace event as a
-    /// human-readable anchor. The fiber rescue path knows the wedged
-    /// fiber exactly (the signal handler recorded it); the OS-thread
-    /// watchdog passes `last_sched`, its best estimate — a freshly
-    /// spawned job wedging before its first visible op was never
-    /// scheduled and can be misattributed there.
+    /// and would defeat bug-string dedup and golden outputs), the
+    /// `wedged` fiber as recorded by the rescuing signal handler, and the
+    /// last-committed trace event as a human-readable anchor.
     fn hang_bug(&self, limit: Duration, wedged: Tid) -> Bug {
         Bug::InternalHang {
             stalled_ms: limit.as_millis() as u64,
@@ -499,11 +467,10 @@ impl ExecState {
 
 /// Run the scheduler: called under the lock whenever `running` drops to 0
 /// and the execution has not ended. Deposits exactly one reply (possibly
-/// `Die` for everyone on abort). `caller` is the thread running this call
-/// inline — when it schedules itself (the common case under the
-/// continue-last-thread default), the wakeup notify is skipped: the caller
-/// finds its reply on the way out of `visible_op` without ever parking.
-fn schedule(shared: &Shared, st: &mut ExecState, caller: Tid) {
+/// `Die` for everyone on abort). When the calling thread schedules itself
+/// (the common case under the continue-last-thread default), it finds its
+/// reply on the way out of `visible_op` without ever switching.
+fn schedule(shared: &Shared, st: &mut ExecState) {
     debug_assert_eq!(st.running, 0);
     if st.outcome.is_some() {
         return;
@@ -520,7 +487,7 @@ fn schedule(shared: &Shared, st: &mut ExecState, caller: Tid) {
             .pending_bug_flag
             .store(false, std::sync::atomic::Ordering::Relaxed);
         if let Some(bug) = shared.pending_bug.lock().take() {
-            return abort(shared, st, RunOutcome::BugFound(bug));
+            return abort(st, RunOutcome::BugFound(bug));
         }
     }
 
@@ -552,7 +519,7 @@ fn schedule(shared: &Shared, st: &mut ExecState, caller: Tid) {
             .filter(|&i| st.alive[i])
             .map(|i| Tid(i as u32))
             .collect();
-        return abort(shared, st, RunOutcome::BugFound(Bug::Deadlock { blocked }));
+        return abort(st, RunOutcome::BugFound(Bug::Deadlock { blocked }));
     }
 
     if st.config.sleep_sets {
@@ -561,7 +528,7 @@ fn schedule(shared: &Shared, st: &mut ExecState, caller: Tid) {
     }
     if runnable.is_empty() {
         st.sched_buf = runnable;
-        return abort(shared, st, RunOutcome::SleepPruned);
+        return abort(st, RunOutcome::SleepPruned);
     }
     // Prefer continuing the last-scheduled thread: fewer context switches
     // and more natural default executions.
@@ -668,40 +635,28 @@ fn schedule(shared: &Shared, st: &mut ExecState, caller: Tid) {
                 }
             }
             if st.mem.threads[t.idx()].steps > st.config.max_steps_per_thread {
-                return abort(shared, st, RunOutcome::Diverged);
+                return abort(st, RunOutcome::Diverged);
             }
+            // The fiber that ran this decision finds the reply itself on
+            // its way out and stack-switches to its owner (`fiber_next`).
             st.replies[t.idx()] = Some(reply);
-            // Under fiber hosting nobody waits on condvars: the parked
-            // fiber that ran this decision finds the reply itself and
-            // stack-switches to its owner (see `fiber_next`).
-            if t != caller && !crate::fiber::active() {
-                shared.cv(t).notify_one();
-            }
         }
-        Err(outcome) => abort(shared, st, outcome),
+        Err(outcome) => abort(st, outcome),
     }
 }
 
 /// Abandon the execution: record the outcome and hand every live thread a
-/// `Die` reply (they unwind on wakeup; job-exit accounting signals the
-/// explorer once all are gone).
-fn abort(shared: &Shared, st: &mut ExecState, outcome: RunOutcome) {
+/// `Die` reply. The threads unwind as `fiber_next` transfers reach them —
+/// also after a host-side watchdog rescue, whose abort is drained by
+/// `fiber::run_execution`'s switch loop.
+fn abort(st: &mut ExecState, outcome: RunOutcome) {
     if st.outcome.is_none() {
         st.outcome = Some(outcome);
     }
     st.dying = true;
-    let fiber_mode = crate::fiber::active();
     for i in 0..st.alive.len() {
         if st.alive[i] {
             st.replies[i] = Some(Reply::Die);
-            // Fiber-hosted threads drain via `fiber_next` transfers, not
-            // condvar wakeups — nobody parks on a condvar in fiber mode,
-            // including the host-side watchdog-rescue abort (which runs
-            // with `fiber::active()` still true and drains the survivors
-            // through `run_execution`'s switch loop).
-            if !fiber_mode {
-                shared.cv(Tid(i as u32)).notify_one();
-            }
         }
     }
 }
@@ -725,9 +680,7 @@ fn last_op_tag(trace: &Trace) -> Option<String> {
 /// i.e. the wedged thread held the running token — so it is counted in
 /// `running` (unless it had already passed `thread_finished`, in which
 /// case `alive` is false and there is nothing to undo). Its pending op
-/// and reply are cleared so no stale state can steer `fiber_next`, and
-/// its job-exit is accounted here (the fiber's root will never run
-/// `job_exited`).
+/// and reply are cleared so no stale state can steer `fiber_next`.
 pub(crate) fn fiber_rescued(
     shared: &Arc<Shared>,
     wedged: Tid,
@@ -746,7 +699,6 @@ pub(crate) fn fiber_rescued(
     if let Some(r) = st.replies.get_mut(wedged.idx()) {
         *r = None;
     }
-    st.active_jobs = st.active_jobs.saturating_sub(1);
     if st.outcome.is_none() {
         let bug = if overflow {
             Bug::StackOverflow { tid: wedged }
@@ -756,10 +708,7 @@ pub(crate) fn fiber_rescued(
             // `last_sched` would misattribute).
             st.hang_bug(limit.unwrap_or_default(), wedged)
         };
-        abort(shared, &mut st, RunOutcome::BugFound(bug));
-    }
-    if st.active_jobs == 0 {
-        shared.done.notify_all();
+        abort(&mut st, RunOutcome::BugFound(bug));
     }
     drop(st);
     // Critical: reset the monitor's stall clock. The rescue itself bumps
@@ -770,12 +719,12 @@ pub(crate) fn fiber_rescued(
     shared.heartbeat();
 }
 
-/// In fiber mode: the fiber a parking (or exiting) fiber must transfer
-/// control to — the thread whose deposited reply is waiting to be picked
-/// up, else the lowest spawned-but-never-run fiber (which still holds a
-/// running token, so the next scheduling decision cannot happen until it
-/// posts its first operation). `None` only when the execution has fully
-/// drained and control belongs back to the explorer.
+/// The fiber a parking (or exiting) fiber must transfer control to: the
+/// thread whose deposited reply is waiting to be picked up, else the
+/// lowest spawned-but-never-run fiber (which still holds a running token,
+/// so the next scheduling decision cannot happen until it posts its first
+/// operation). `None` only when the execution has fully drained and
+/// control belongs back to the explorer.
 pub(crate) fn fiber_next(st: &ExecState) -> Option<Tid> {
     // The `alive` filter is belt and braces: replies are only ever
     // deposited for live threads and cleared when a thread dies, but a
@@ -790,7 +739,7 @@ pub(crate) fn fiber_next(st: &ExecState) -> Option<Tid> {
 }
 
 // ---------------------------------------------------------------------
-// Worker-side entry points (called from the public primitives).
+// Modeled-thread entry points (called from the public primitives).
 // ---------------------------------------------------------------------
 
 /// Perform a visible operation as modeled thread `me`.
@@ -807,14 +756,8 @@ pub(crate) fn visible_op(shared: &Shared, me: Tid, op: Op) -> Reply {
     st.pending[me.idx()] = Some(op);
     st.running -= 1;
     if st.running == 0 {
-        schedule(shared, &mut st, me);
+        schedule(shared, &mut st);
     }
-    // The condvar is fetched lazily: when the scheduler picked `me` again
-    // (the common case), the reply is already deposited and the cvs lock
-    // is never touched. Fetching under `inner` follows the established
-    // inner→cvs lock order (see `spawn_thread` and `schedule`).
-    let fiber_mode = crate::fiber::active();
-    let mut cv = None;
     loop {
         if let Some(reply) = st.replies[me.idx()].take() {
             if matches!(reply, Reply::Die) {
@@ -824,20 +767,14 @@ pub(crate) fn visible_op(shared: &Shared, me: Tid, op: Op) -> Reply {
             st.running += 1;
             return reply;
         }
-        if fiber_mode {
-            // No reply for this thread yet: hand the CPU straight to the
-            // fiber that can make progress instead of parking an OS
-            // thread. Control comes back (with the lock released) once
-            // some later decision deposits this thread's reply and a
-            // parking fiber switches here.
-            let next =
-                fiber_next(&st).expect("fiber host: a parked thread has no runnable successor");
-            drop(st);
-            crate::fiber::switch_to(next);
-            st = shared.inner.lock();
-        } else {
-            cv.get_or_insert_with(|| shared.cv(me)).wait(&mut st);
-        }
+        // No reply for this thread yet: hand the CPU straight to the
+        // fiber that can make progress. Control comes back (with the lock
+        // released) once some later decision deposits this thread's reply
+        // and a parking fiber switches here.
+        let next = fiber_next(&st).expect("fiber host: a parked thread has no runnable successor");
+        drop(st);
+        crate::fiber::switch_to(next);
+        st = shared.inner.lock();
     }
 }
 
@@ -858,56 +795,24 @@ pub(crate) fn spawn_thread(
             tid: me,
             message: "max_threads exceeded".into(),
         };
-        abort(shared, &mut st, RunOutcome::BugFound(bug));
+        abort(&mut st, RunOutcome::BugFound(bug));
         drop(st);
         std::panic::panic_any(DieMarker);
     }
     let child = st.register_thread();
     shared.heartbeat();
-    shared.ensure_cv(child);
     st.mem.spawn_thread(me);
     st.running += 1; // the child runs until its first visible op
-    st.active_jobs += 1;
-    if crate::fiber::active() {
-        // Fiber hosting: the child becomes a fiber of this OS thread. It
-        // runs when a parking fiber picks it via `fiber_next` (it holds a
-        // running token until its first visible op, so that is guaranteed
-        // before the next scheduling decision). Creation cannot fail —
-        // there is no pool to exhaust.
-        drop(st);
-        crate::fiber::spawn_fiber(child, Arc::clone(shared), closure);
-        return child;
-    }
-    let pool = Arc::clone(&shared.pool);
     drop(st);
-    let dispatched = pool.lock().dispatch(Job {
-        tid: child,
-        shared: Arc::clone(shared),
-        closure,
-    });
-    if !dispatched {
-        // The pool could not keep a worker alive for the child (bounded
-        // respawns exhausted). Undo the child's accounting and abort the
-        // execution as an engine error — the spawning thread unwinds like
-        // any other abandoned execution.
-        let mut st = shared.inner.lock();
-        st.alive[child.idx()] = false;
-        st.running -= 1;
-        st.active_jobs -= 1;
-        abort(
-            shared,
-            &mut st,
-            RunOutcome::EngineError(format!(
-                "worker pool exhausted its respawn budget dispatching {child}"
-            )),
-        );
-        drop(st);
-        std::panic::panic_any(DieMarker);
-    }
+    // The child becomes a fiber of this OS thread. It runs when a parking
+    // fiber picks it via `fiber_next` (it holds a running token until its
+    // first visible op, so that is guaranteed before the next scheduling
+    // decision).
+    crate::fiber::spawn_fiber(child, Arc::clone(shared), closure);
     child
 }
 
-/// Called by the job wrapper when the closure returns normally.
+/// Called by the fiber root when the closure returns normally.
 pub(crate) fn thread_finished(shared: &Shared, me: Tid) {
     let _gate = crate::fiber::engine_section();
     let mut st = shared.inner.lock();
@@ -916,12 +821,12 @@ pub(crate) fn thread_finished(shared: &Shared, me: Tid) {
         st.alive[me.idx()] = false;
         st.running -= 1;
         if st.running == 0 {
-            schedule(shared, &mut st, me);
+            schedule(shared, &mut st);
         }
     }
 }
 
-/// Called by the job wrapper when the closure unwound with [`DieMarker`].
+/// Called by the fiber root when the closure unwound with [`DieMarker`].
 pub(crate) fn thread_aborted(shared: &Shared, me: Tid) {
     let _gate = crate::fiber::engine_section();
     let mut st = shared.inner.lock();
@@ -938,7 +843,7 @@ pub(crate) fn thread_aborted(shared: &Shared, me: Tid) {
     st.replies[me.idx()] = None;
 }
 
-/// Called by the job wrapper when the closure panicked for real.
+/// Called by the fiber root when the closure panicked for real.
 pub(crate) fn thread_panicked(shared: &Shared, me: Tid, message: String) {
     let _gate = crate::fiber::engine_section();
     let mut st = shared.inner.lock();
@@ -946,27 +851,10 @@ pub(crate) fn thread_panicked(shared: &Shared, me: Tid, message: String) {
         st.alive[me.idx()] = false;
         st.running -= 1;
         let bug = Bug::UserPanic { tid: me, message };
-        abort(shared, &mut st, RunOutcome::BugFound(bug));
+        abort(&mut st, RunOutcome::BugFound(bug));
     }
     // See `thread_aborted`: no stale reply may outlive its thread.
     st.replies[me.idx()] = None;
-}
-
-/// Job-exit accounting: the last job out signals the explorer.
-pub(crate) fn job_exited(shared: &Shared) {
-    let _gate = crate::fiber::engine_section();
-    let mut st = shared.inner.lock();
-    st.active_jobs -= 1;
-    if st.active_jobs == 0 && st.outcome.is_some() {
-        shared.done.notify_all();
-    }
-    // Liveness guard: if every job exited but no outcome was decided, the
-    // execution stalled (should be impossible); mark it so the explorer
-    // is not left hanging.
-    if st.active_jobs == 0 && st.outcome.is_none() && st.alive.iter().all(|a| !a) {
-        st.outcome = Some(RunOutcome::Completed);
-        shared.done.notify_all();
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -976,10 +864,9 @@ pub(crate) fn job_exited(shared: &Shared) {
 /// Execution-harness state carried between the executions of one
 /// exploration campaign: the `Shared` handle (with every buffer at its
 /// high-water capacity) and the recycled trace buffer of the previous
-/// execution. Per-execution setup cost — a fresh `Arc<Shared>`, every
-/// `Vec` regrowing from zero, one `Arc<Condvar>` per modeled thread —
-/// is a large share of short executions, so `run_once` rewinds this
-/// state in place instead of rebuilding it.
+/// execution. Per-execution setup cost — a fresh `Arc<Shared>` and every
+/// `Vec` regrowing from zero — is a large share of short executions, so
+/// `run_once` rewinds this state in place instead of rebuilding it.
 ///
 /// One `Reuse` belongs to exactly one explorer (and therefore one
 /// `Config`); it must not be shared across campaigns with different
@@ -995,11 +882,9 @@ pub(crate) struct Reuse {
 /// Execute the test closure once, replaying `script`. With a `sampler`,
 /// choice points beyond the script are resolved randomly instead of
 /// depth-first (deadline-degraded sampling). `reuse` carries the harness
-/// across executions; after a *hung* execution the `Shared` is abandoned
-/// (the wedged job may still touch it) and the next call builds afresh.
+/// across executions.
 pub(crate) fn run_once(
     config: &Config,
-    pool: &Arc<Mutex<Pool>>,
     script: &[usize],
     test: Arc<dyn Fn() + Send + Sync>,
     sampler: Option<StdRng>,
@@ -1037,7 +922,6 @@ pub(crate) fn run_once(
                 replies: Vec::new(),
                 alive: Vec::new(),
                 running: 0,
-                active_jobs: 0,
                 sleep: Vec::new(),
                 spins: Vec::new(),
                 futile: Vec::new(),
@@ -1053,12 +937,9 @@ pub(crate) fn run_once(
                 wake_floor: Vec::new(),
             }),
             progress: std::sync::atomic::AtomicU64::new(0),
-            cvs: Mutex::new(Vec::new()),
-            done: Condvar::new(),
             pending_bug: Mutex::new(None),
             pending_bug_flag: std::sync::atomic::AtomicBool::new(false),
             arena: Mutex::new(Vec::new()),
-            pool: Arc::clone(pool),
         }),
     };
 
@@ -1066,133 +947,35 @@ pub(crate) fn run_once(
         let mut st = shared.inner.lock();
         let main = st.register_thread();
         debug_assert_eq!(main, Tid::MAIN);
-        shared.ensure_cv(main);
         st.running = 1;
-        st.active_jobs = 1;
     }
-    let t2 = Arc::clone(&test);
-    // Host selection is centralized in `fiber::host_choice` (shared with
-    // `fiber::enabled_here` so the gating logic cannot drift). Fibers run
-    // *every* modeled thread of the execution on this (explorer) thread
-    // with userspace stack switches — zero kernel handshakes per token
-    // transfer — and, with a hang_timeout, arm the monitor-thread
-    // watchdog for signal-directed rescue. Where fibers are unavailable,
-    // running just the main modeled thread inline still saves two futex
-    // round-trips per execution, but only when the explorer has no
-    // watchdog polling to do; the OS-thread pool covers the rest
-    // (notably nested explorations).
-    match crate::fiber::host_choice(config) {
-        crate::fiber::HostChoice::Fiber => {
-            crate::fiber::run_execution(
-                &shared,
-                Box::new(move || t2()),
-                config.hang_timeout,
-                config.fiber_stack,
-            );
-        }
-        crate::fiber::HostChoice::Inline => {
-            crate::worker::run_main_inline(&shared, Box::new(move || t2()));
-        }
-        crate::fiber::HostChoice::Pool => {
-            let dispatched = pool.lock().dispatch(Job {
-                tid: Tid::MAIN,
-                shared: Arc::clone(&shared),
-                closure: Box::new(move || t2()),
-            });
-            if !dispatched {
-                // No worker could host even the main modeled thread: void
-                // the execution up front instead of waiting on a job that
-                // will never run.
-                let mut st = shared.inner.lock();
-                st.alive[Tid::MAIN.idx()] = false;
-                st.running -= 1;
-                st.active_jobs -= 1;
-                st.outcome = Some(RunOutcome::EngineError(
-                    "worker pool exhausted its respawn budget dispatching the main thread".into(),
-                ));
-                shared.done.notify_all();
-            }
-        }
-    }
+    // Every modeled thread of the execution runs on a fiber of this
+    // (explorer) thread; with a hang_timeout the monitor-thread watchdog
+    // is armed for signal-directed rescue. `run_execution` returns only
+    // once the execution has fully drained.
+    crate::fiber::run_execution(&shared, Box::new(move || test()), config.hang_timeout);
 
-    // Wait for the verdict + full job drain (arena safety). With a
-    // hang_timeout, a watchdog polls the heartbeat counter: an execution
-    // whose scheduler makes no progress for the configured interval is
-    // aborted (`Bug::InternalHang`), and if the wedged job still refuses
-    // to exit, it is leaked rather than parking the explorer forever.
-    let (outcome, trace, choices, hung, pruned) = {
+    let (outcome, trace, choices, pruned) = {
         let mut st = shared.inner.lock();
-        let mut hung = false;
-        match config.hang_timeout {
-            None => {
-                while !(st.outcome.is_some() && st.active_jobs == 0) {
-                    shared.done.wait(&mut st);
-                }
-            }
-            Some(limit) => {
-                // Fiber-hosted executions return from `run_execution`
-                // fully drained (their watchdog lives on the monitor
-                // thread), so this loop exits on its first check there;
-                // the polling below is the OS-thread path's watchdog.
-                let slice = (limit / 4).max(Duration::from_millis(10));
-                let progress = || shared.progress.load(std::sync::atomic::Ordering::Relaxed);
-                let mut last_progress = progress();
-                let mut last_change = Instant::now();
-                loop {
-                    if st.outcome.is_some() && st.active_jobs == 0 {
-                        break;
-                    }
-                    shared.done.wait_for(&mut st, slice);
-                    let now_progress = progress();
-                    if now_progress != last_progress {
-                        last_progress = now_progress;
-                        last_change = Instant::now();
-                        continue;
-                    }
-                    let stalled = last_change.elapsed();
-                    if stalled < limit {
-                        continue;
-                    }
-                    if st.outcome.is_none() {
-                        let wedged = st.last_sched;
-                        let bug = st.hang_bug(limit, wedged);
-                        abort(&shared, &mut st, RunOutcome::BugFound(bug));
-                        // Fresh grace period for the surviving jobs to
-                        // unwind and drain.
-                        last_change = Instant::now();
-                    } else {
-                        // Already aborted, still not drained: a job is
-                        // wedged in user code and will never exit.
-                        hung = true;
-                        break;
-                    }
-                }
-            }
-        }
         (
-            st.outcome.clone().expect("decided"),
+            // Every thread has exited. An undecided outcome would mean the
+            // execution stalled without a verdict (should be impossible);
+            // with nobody left alive it counts as completed.
+            st.outcome.clone().unwrap_or(RunOutcome::Completed),
             std::mem::take(&mut st.mem.trace),
             std::mem::take(&mut st.choices),
-            hung,
             st.pruned,
         )
     };
-    if !hung {
-        shared.arena.lock().clear();
-        // All jobs have drained (`active_jobs == 0`), so nothing touches
-        // the execution state again: the harness can be rewound and
-        // reused by the next execution.
-        reuse.shared = Some(shared);
-    }
-    // On a hang the arena stays alive deliberately: the wedged thread may
-    // still dereference per-execution allocations, and its thread-local
-    // context keeps `shared` (and thus the arena) reachable. The leak is
-    // bounded by one wedged execution per InternalHang report.
+    // Nothing touches the execution state again (an abandoned fiber's
+    // stack is leaked, never resumed): free the arena and hand the
+    // harness to the next execution.
+    shared.arena.lock().clear();
+    reuse.shared = Some(shared);
     RunResult {
         outcome,
         trace,
         choices,
-        hung,
         pruned,
     }
 }

@@ -1,26 +1,25 @@
-//! Worker-pool plumbing: pooled OS threads hosting modeled threads, the
-//! per-thread context, and the quiet panic hook.
+//! Modeled-thread plumbing: the per-thread context the primitives read,
+//! the body every fiber root runs ([`run_job`]), the shard-explorer
+//! threads of the parallel engine, and the quiet panic hook.
 //!
 //! Scheduling itself lives in [`crate::runtime`] (token-passing: the
-//! worker that parks last decides who runs next). Pool threads are reused
-//! across executions — thread spawn cost would otherwise dominate
-//! exploration time (see `benches/exploration.rs`).
+//! modeled thread that parks last decides who runs next), and the stack
+//! switching in [`crate::fiber`].
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Once};
 
 use cdsspec_c11::Tid;
 
 use crate::runtime::{self, Shared};
 
-/// Marker panic payload used to unwind a worker when the runtime abandons
-/// an execution.
+/// Marker panic payload used to unwind a modeled thread when the runtime
+/// abandons an execution.
 pub(crate) struct DieMarker;
 
-/// Per-modeled-thread context installed in the worker's thread-local while
-/// it runs a job.
+/// Per-modeled-thread context, installed in the host thread's
+/// thread-local for whichever fiber is running.
 pub(crate) struct Ctx {
     pub tid: Tid,
     pub shared: Arc<Shared>,
@@ -34,10 +33,10 @@ thread_local! {
 /// message) when called outside `mc::explore`/`mc::model`.
 ///
 /// The context is cloned out (a `Tid` copy plus one `Arc` bump) so the
-/// `RefCell` borrow is released *before* `f` runs. This is load-bearing
-/// under fiber hosting: `f` may suspend the calling fiber mid-operation,
-/// and the fiber that runs next re-points `CTX` for itself — a borrow
-/// held across the switch would make that re-point panic.
+/// `RefCell` borrow is released *before* `f` runs. This is load-bearing:
+/// `f` may suspend the calling fiber mid-operation, and the fiber that
+/// runs next re-points `CTX` for itself — a borrow held across the switch
+/// would make that re-point panic.
 pub(crate) fn with_ctx<R>(f: impl FnOnce(&Ctx) -> R) -> R {
     // Preemption gate, held across `f` as well as the `RefCell` borrow:
     // every `with_ctx` callback is engine code (they lock `Shared::inner`,
@@ -75,96 +74,23 @@ pub(crate) fn set_fiber_ctx(ctx: Option<Ctx>) {
     CTX.with(|c| *c.borrow_mut() = ctx);
 }
 
-/// A unit of work for a pooled OS thread: run `closure` as modeled thread
-/// `tid` of the execution owned by `shared`.
+/// One modeled thread to host: run `closure` as modeled thread `tid` of
+/// the execution owned by `shared`. Smuggled into each fiber's initial
+/// stack frame by `crate::fiber::spawn_fiber`.
 pub(crate) struct Job {
     pub tid: Tid,
     pub shared: Arc<Shared>,
     pub closure: Box<dyn FnOnce() + Send + 'static>,
 }
 
-struct WorkerHandle {
-    job_tx: Sender<Job>,
-}
-
-/// A reusable pool of OS threads hosting modeled threads.
-pub(crate) struct Pool {
-    workers: Vec<WorkerHandle>,
-    free_rx: Receiver<usize>,
-    free_tx: Sender<usize>,
-}
-
-impl Pool {
-    pub fn new() -> Self {
-        install_quiet_panic_hook();
-        let (free_tx, free_rx) = channel();
-        Pool {
-            workers: Vec::new(),
-            free_rx,
-            free_tx,
-        }
-    }
-
-    /// Dispatch a job onto a free worker, growing the pool when necessary.
-    /// A worker whose OS thread has died (its job channel is closed) is
-    /// respawned in place and the dispatch retried — one lost thread must
-    /// not take down the whole exploration.
-    ///
-    /// Respawns are bounded: a host where fresh pool threads die
-    /// immediately on every start (resource exhaustion, a broken runtime)
-    /// would otherwise spin here forever. After [`Pool::MAX_RESPAWNS`]
-    /// consecutive failed hand-offs — each preceded by an exponentially
-    /// growing backoff sleep — the dispatch gives up and returns `false`;
-    /// callers surface the failure as [`crate::StopReason::Errored`]
-    /// instead of hanging the exploration.
-    #[must_use = "a failed dispatch must abort the execution, not be ignored"]
-    pub fn dispatch(&mut self, job: Job) -> bool {
-        let mut job = job;
-        let mut respawns = 0u32;
-        loop {
-            let idx = match self.free_rx.try_recv() {
-                Ok(i) => i,
-                Err(_) => {
-                    let i = self.workers.len();
-                    self.workers.push(spawn_worker(i, self.free_tx.clone()));
-                    i
-                }
-            };
-            job = match self.workers[idx].job_tx.send(job) {
-                Ok(()) => return true,
-                Err(std::sync::mpsc::SendError(j)) => j,
-            };
-            // Dead worker: replace it and hand the fresh one the job
-            // directly (it never announced itself free). Back off first —
-            // if threads are dying from transient resource pressure, an
-            // immediate respawn just burns the retry budget.
-            if respawns >= Self::MAX_RESPAWNS {
-                return false;
-            }
-            std::thread::sleep(std::time::Duration::from_micros(50u64 << respawns.min(12)));
-            respawns += 1;
-            self.workers[idx] = spawn_worker(idx, self.free_tx.clone());
-            job = match self.workers[idx].job_tx.send(job) {
-                Ok(()) => return true,
-                Err(std::sync::mpsc::SendError(j)) => j,
-            };
-        }
-    }
-}
-
-impl Pool {
-    /// Consecutive dead-worker respawns tolerated by one dispatch before
-    /// it reports failure (total backoff ≈ 0.8 s at the cap).
-    pub(crate) const MAX_RESPAWNS: u32 = 8;
-}
-
 /// Run `n` shard-explorer bodies on dedicated OS threads and collect their
 /// results in worker-index order — the spawn half of the parallel engine
 /// (`crate::parallel`), kept here with the rest of the thread plumbing.
 ///
-/// Shard threads are named `cdsspec-shard-N`, deliberately NOT matched by
-/// the quiet panic hook below: a crashing shard explorer is an engine bug
-/// worth printing, unlike the routine unwinds of the modeled-thread pool.
+/// Shard threads are named `cdsspec-shard-N` and run outside any modeled
+/// thread, so the quiet panic hook below lets their panics through: a
+/// crashing shard explorer is an engine bug worth printing, unlike the
+/// routine unwinds of modeled threads.
 /// A `Err` join result is surfaced to the caller rather than propagated,
 /// so one dead shard cannot take down its siblings' results.
 pub(crate) fn run_shard_threads<R, F>(n: usize, body: F) -> Vec<std::thread::Result<R>>
@@ -186,71 +112,28 @@ where
     })
 }
 
-/// Worker threads unwind constantly (every abandoned execution panics with
-/// [`DieMarker`], and `mc_assert!` failures are caught and reported through
-/// the bug machinery), so the default panic hook's stderr output — possibly
-/// with full backtraces — would dominate exploration time. Silence panics
-/// on pool threads and inside any modeled-thread context (the explorer
-/// runs the main modeled thread inline, see [`run_main_inline`]);
-/// everything else keeps the default hook.
-fn install_quiet_panic_hook() {
+/// Modeled threads unwind constantly (every abandoned execution panics
+/// with [`DieMarker`], and `mc_assert!` failures are caught and reported
+/// through the bug machinery), so the default panic hook's stderr output —
+/// possibly with full backtraces — would dominate exploration time.
+/// Silence panics inside any modeled-thread context; everything else
+/// keeps the default hook. Installed once per process, by the first
+/// explorer.
+pub(crate) fn install_quiet_panic_hook() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let default = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let on_worker = std::thread::current()
-                .name()
-                .map(|n| n.starts_with("cdsspec-worker"))
-                .unwrap_or(false);
-            if !on_worker && !in_model() {
+            if !in_model() {
                 default(info);
             }
         }));
     });
 }
 
-fn spawn_worker(index: usize, free_tx: Sender<usize>) -> WorkerHandle {
-    let (job_tx, job_rx) = channel::<Job>();
-    std::thread::Builder::new()
-        .name(format!("cdsspec-worker-{index}"))
-        .spawn(move || {
-            while let Ok(job) = job_rx.recv() {
-                run_job(job);
-                if free_tx.send(index).is_err() {
-                    break; // pool dropped
-                }
-            }
-        })
-        .expect("failed to spawn pool worker");
-    WorkerHandle { job_tx }
-}
-
-/// Run the *main* modeled thread of an execution on the calling (explorer)
-/// thread instead of dispatching it to the pool.
-///
-/// On a mostly-idle explorer this removes two futex round-trips per
-/// execution — the wake of the pool worker that would host `main`, and the
-/// `done` signal parking/unparking the explorer — which is a measurable
-/// share of short executions on a single-core host. The explorer simply
-/// becomes one more participant in the token-passing handshake: it blocks
-/// in `visible_op` like any worker while other threads are scheduled.
-///
-/// Only sound when the caller has nothing else to do during the execution;
-/// `run_once` falls back to pool dispatch when a hang watchdog must keep
-/// polling. The modeled-thread context is installed around the closure, so
-/// the quiet panic hook covers the routine [`DieMarker`] unwinds here too.
-pub(crate) fn run_main_inline(shared: &Arc<Shared>, closure: Box<dyn FnOnce() + Send + 'static>) {
-    run_job(Job {
-        tid: Tid::MAIN,
-        shared: Arc::clone(shared),
-        closure,
-    });
-}
-
 /// Host one modeled thread to completion: install its context, run the
 /// closure, catch any unwind, and report the exit to the runtime. The
-/// body of every pool worker, of [`run_main_inline`], and of every fiber
-/// root (`crate::fiber`).
+/// body of every fiber root (`crate::fiber`).
 pub(crate) fn run_job(job: Job) {
     let Job {
         tid,
@@ -284,7 +167,6 @@ pub(crate) fn run_job(job: Job) {
             }
         }
     }
-    runtime::job_exited(&shared);
 }
 
 pub(crate) fn panic_message(payload: &Box<dyn Any + Send>) -> String {

@@ -1,22 +1,28 @@
-//! Fiber hosting must be a pure transport change.
+//! The fiber host must walk one fixed DFS, whatever its configuration.
 //!
-//! With `Config::fiber_hosting` (the default) on x86_64 the runtime hosts
-//! every modeled thread of an execution on the explorer's own OS thread,
-//! moving control with userspace stack switches (`crate::fiber`) — on
-//! Linux even with a hang watchdog configured, whose stall detection then
-//! runs on a monitor thread. With `fiber_hosting: false` it hosts them on
-//! pooled OS threads parked on condvars. The scheduling *decisions* are
-//! made by the same code on the same state in all modes, so an
-//! exploration must be indistinguishable between them: same executions in
-//! the same DFS order, same per-execution traces, same bugs, same prune
-//! counters.
+//! Every modeled thread of an execution runs on a userspace fiber of the
+//! explorer's OS thread (`crate::fiber`); with a hang watchdog configured
+//! the stall detection runs on a monitor thread, and with several workers
+//! each shard explorer hosts its own fibers. None of that may change what
+//! is explored: same executions in the same DFS order, same per-execution
+//! traces, same bugs, same prune counters.
 //!
-//! These tests pin that equivalence: random weakly-ordered programs are
-//! explored under the fiber host (watchdog-free *and* watchdog-on) and
-//! the OS-thread reference host, and every deterministic statistic plus
-//! the exact per-execution rf-signature *sequence* must match; the bug
-//! paths (user panics — i.e. unwinds through a fiber root — divergence
-//! bounds, and watchdog hang injection) are exercised explicitly.
+//! Two kinds of test pin this:
+//!
+//! * proptests compare the fiber variants against each other on random
+//!   weakly-ordered programs: watchdog-free against watchdog-on, and two
+//!   shard workers against one;
+//! * golden tests compare against outputs frozen from a build that still
+//!   had a second host (pooled OS threads parked on condvars) and on which
+//!   both hosts produced them byte for byte: a fixed-seed corpus of random
+//!   programs (`tests/golden/fiber_corpus.txt`, each program's counters
+//!   and per-execution rf-signature sequence) and the rendered results of
+//!   the bug paths below — user panics (unwinds through a fiber root),
+//!   divergence bounds, and watchdog hang injection.
+//!
+//! A golden mismatch writes the actual rendering next to the test
+//! binary's scratch directory (`CARGO_TARGET_TMPDIR`) so it can be
+//! diffed against the committed file.
 
 use std::sync::{Arc, Mutex};
 
@@ -25,6 +31,8 @@ use cdsspec_mc as mc;
 use mc::MemOrd::{self, *};
 use mc::{Atomic, Bug, Config, Plugin};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A step of a random program (mirrors `proptest_lockstep`).
 #[derive(Clone, Copy, Debug)]
@@ -37,6 +45,8 @@ enum Step {
 }
 
 type Program = Vec<Vec<(Step, MemOrd)>>;
+
+const ORDS: [MemOrd; 5] = [Relaxed, Acquire, Release, AcqRel, SeqCst];
 
 fn ord_strategy() -> impl Strategy<Value = MemOrd> {
     prop_oneof![
@@ -63,6 +73,32 @@ fn program_strategy(threads: usize, steps: usize, locs: usize) -> impl Strategy<
         prop::collection::vec((step_strategy(locs), ord_strategy()), 1..=steps),
         1..=threads,
     )
+}
+
+/// Seeded counterpart of `program_strategy` for the golden corpus: the
+/// same shape and value ranges, drawn from a fixed `StdRng` stream so the
+/// corpus never changes.
+fn seeded_program(rng: &mut StdRng, threads: usize, steps: usize, locs: usize) -> Program {
+    (0..rng.gen_range(1..=threads))
+        .map(|_| {
+            (0..rng.gen_range(1..=steps))
+                .map(|_| {
+                    let step = match rng.gen_range(0..5u32) {
+                        0 => Step::Load(rng.gen_range(0..locs)),
+                        1 => Step::Store(rng.gen_range(0..locs), rng.gen_range(1..6i64)),
+                        2 => Step::FetchAdd(rng.gen_range(0..locs), rng.gen_range(1..3i64)),
+                        3 => Step::Cas(
+                            rng.gen_range(0..locs),
+                            rng.gen_range(0..6i64),
+                            rng.gen_range(1..6i64),
+                        ),
+                        _ => Step::Fence,
+                    };
+                    (step, ORDS[rng.gen_range(0..ORDS.len())])
+                })
+                .collect()
+        })
+        .collect()
 }
 
 fn legal_ord(step: Step, ord: MemOrd) -> MemOrd {
@@ -131,30 +167,21 @@ impl Plugin for SigLog {
     }
 }
 
-/// The watchdog-free fiber host (the original fiber fast path).
+/// The watchdog-free fiber host. One worker whatever `CDSSPEC_WORKERS`
+/// says: the goldens record the sequential DFS order.
 fn fiber_config() -> Config {
     Config {
         max_executions: 300_000,
         hang_timeout: None,
+        workers: 1,
         ..Config::default()
     }
 }
 
 /// The *default*-shaped fiber host: watchdog on, stall detection on the
-/// monitor thread. On targets without watchdog preemption this resolves
-/// to the pool — the equivalence assertions hold trivially there.
+/// monitor thread.
 fn fiber_watchdog_config() -> Config {
     Config {
-        hang_timeout: Some(std::time::Duration::from_secs(30)),
-        ..fiber_config()
-    }
-}
-
-/// The OS-thread reference host: `fiber_hosting: false` is the explicit
-/// host switch (a configured watchdog no longer implies the pool).
-fn os_thread_config() -> Config {
-    Config {
-        fiber_hosting: false,
         hang_timeout: Some(std::time::Duration::from_secs(30)),
         ..fiber_config()
     }
@@ -189,20 +216,48 @@ fn run(
     )
 }
 
+/// The deterministic face of an exploration's statistics, one line, with
+/// bugs sorted (their discovery order is part of the DFS, but sorting
+/// keeps the expectation readable).
+fn render(s: &mc::Stats) -> String {
+    let mut bugs: Vec<String> = s.bugs.iter().map(|f| f.bug.to_string()).collect();
+    bugs.sort();
+    format!(
+        "executions={} feasible={} diverged={} sleep_pruned={} rf_pruned={} \
+         peak_depth={} rf_classes={} bugs={bugs:?}",
+        s.executions,
+        s.feasible,
+        s.diverged,
+        s.sleep_pruned,
+        s.executions_pruned,
+        s.peak_depth,
+        s.rf_classes.len(),
+    )
+}
+
+/// Compare `actual` against the committed golden file `name`; on mismatch
+/// save `actual` for diffing and fail.
+fn assert_golden(name: &str, actual: &str) {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    let expected = std::fs::read_to_string(&path).unwrap_or_default();
+    if expected != actual {
+        let out = format!("{}/{name}.actual", env!("CARGO_TARGET_TMPDIR"));
+        std::fs::write(&out, actual).expect("write actual rendering");
+        panic!("output differs from {path}; actual saved to {out}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Random programs: all three hosts — watchdog-free fibers,
-    /// watchdog-on fibers (the `Config::default` shape), and the
-    /// OS-thread pool — walk the identical DFS.
+    /// Random programs: watchdog-free fibers and watchdog-on fibers (the
+    /// `Config::default` shape) walk the identical DFS.
     #[test]
-    fn fiber_and_os_hosting_explore_identically(prog in program_strategy(3, 3, 2)) {
+    fn watchdog_on_and_off_fibers_explore_identically(prog in program_strategy(3, 3, 2)) {
         let prog = Arc::new(prog);
         let fib = run(fiber_config(), Arc::clone(&prog));
-        let wd = run(fiber_watchdog_config(), Arc::clone(&prog));
-        let os = run(os_thread_config(), prog);
-        prop_assert_eq!(&fib, &os);
-        prop_assert_eq!(&wd, &os);
+        let wd = run(fiber_watchdog_config(), prog);
+        prop_assert_eq!(&fib, &wd);
     }
 }
 
@@ -210,19 +265,50 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     /// Two workers: each shard explorer hosts its own fibers; the merged
-    /// result must still match the OS-thread host at the same worker
-    /// count (exhaustive runs are worker-count independent, so the
-    /// per-worker signature interleaving is compared as a multiset).
+    /// result must match the single-worker host (exhaustive runs are
+    /// worker-count independent, so the per-worker signature interleaving
+    /// is compared as a multiset).
     #[test]
-    fn fiber_hosting_composes_with_shard_workers(prog in program_strategy(3, 3, 2)) {
+    fn shard_workers_match_the_sequential_fiber_host(prog in program_strategy(3, 3, 2)) {
         let prog = Arc::new(prog);
-        let two = |base: Config| Config { workers: 2, ..base };
-        let (fstats, fbugs, mut fsigs) = run(two(fiber_config()), Arc::clone(&prog));
-        let (ostats, obugs, mut osigs) = run(two(os_thread_config()), prog);
-        fsigs.sort_unstable();
-        osigs.sort_unstable();
-        prop_assert_eq!((fstats, fbugs, fsigs), (ostats, obugs, osigs));
+        let (wstats, wbugs, mut wsigs) =
+            run(Config { workers: 2, ..fiber_config() }, Arc::clone(&prog));
+        let (sstats, sbugs, mut ssigs) = run(Config { workers: 1, ..fiber_config() }, prog);
+        wsigs.sort_unstable();
+        ssigs.sort_unstable();
+        prop_assert_eq!((wstats, wbugs, wsigs), (sstats, sbugs, ssigs));
     }
+}
+
+/// Size and seed of the golden corpus.
+const CORPUS_PROGRAMS: usize = 100;
+const CORPUS_SEED: u64 = 0xF1BE_2017;
+
+/// Explore every corpus program under `config`; one block per program:
+/// the program, its counters and bugs, and its rf-signature sequence.
+fn render_corpus(config: &Config) -> String {
+    let mut rng = StdRng::seed_from_u64(CORPUS_SEED);
+    let mut out = String::new();
+    for i in 0..CORPUS_PROGRAMS {
+        let prog = seeded_program(&mut rng, 3, 3, 2);
+        out.push_str(&format!("program {i}: {prog:?}\n"));
+        let (counters, bugs, sigs) = run(config.clone(), Arc::new(prog));
+        out.push_str(&format!("  counters {counters:?} bugs {bugs:?}\n  sigs"));
+        for s in sigs {
+            out.push_str(&format!(" {s:016x}"));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// The fixed-seed corpus explores exactly as the frozen golden says, with
+/// and without the watchdog.
+#[test]
+fn fixed_seed_corpus_matches_golden() {
+    let fib = render_corpus(&fiber_config());
+    assert_eq!(fib, render_corpus(&fiber_watchdog_config()));
+    assert_golden("fiber_corpus.txt", &fib);
 }
 
 /// Smallest possible fiber exploration: one modeled thread, no spawns —
@@ -273,10 +359,10 @@ fn a_two_fiber_spawn_join() {
 }
 
 /// A panic in a *spawned* modeled thread unwinds through a fiber root;
-/// both hosts must report the same `UserPanic` and keep the harness
-/// reusable for the rest of the exploration.
+/// the `UserPanic` is reported and the harness stays reusable for the
+/// rest of the exploration.
 #[test]
-fn user_panic_in_child_reported_identically() {
+fn user_panic_in_child_matches_golden() {
     let body = || {
         let flag = Atomic::new(0i32);
         let t = mc::thread::spawn(move || {
@@ -295,20 +381,10 @@ fn user_panic_in_child_reported_identically() {
         },
         body,
     );
-    let os = mc::explore(
-        Config {
-            stop_on_first_bug: false,
-            ..os_thread_config()
-        },
-        body,
+    assert_eq!(
+        render(&fib),
+        "executions=2 feasible=2 diverged=0 sleep_pruned=0 rf_pruned=1 peak_depth=1 rf_classes=1 bugs=[\"panic in T1: child died\"]"
     );
-    let render = |s: &mc::Stats| {
-        let mut b: Vec<String> = s.bugs.iter().map(|f| f.bug.to_string()).collect();
-        b.sort();
-        (s.executions, s.feasible, b)
-    };
-    assert!(fib.buggy(), "panic not detected under fibers");
-    assert_eq!(render(&fib), render(&os));
 }
 
 /// A thread that panics right after spawning leaves its child *unstarted*
@@ -327,19 +403,14 @@ fn abort_with_unstarted_child_drains_cleanly() {
         panic!("parent died with an unstarted child");
     };
     let fib = mc::explore(fiber_config(), body);
-    let os = mc::explore(os_thread_config(), body);
-    assert!(fib.buggy(), "parent panic not detected under fibers");
-    let render = |s: &mc::Stats| {
-        let mut b: Vec<String> = s.bugs.iter().map(|f| f.bug.to_string()).collect();
-        b.sort();
-        (s.executions, b)
-    };
-    assert_eq!(render(&fib), render(&os));
+    assert_eq!(
+        render(&fib),
+        "executions=1 feasible=1 diverged=0 sleep_pruned=0 rf_pruned=0 peak_depth=0 rf_classes=0 bugs=[\"panic in T0: parent died with an unstarted child\"]"
+    );
 }
 
 /// Spin-bound divergence: the `DieMarker` abort path unwinds every live
-/// fiber in turn. The run must terminate with the same counters as the
-/// OS-thread host (where each worker unwinds on its own thread).
+/// fiber in turn, and the run terminates with the frozen counters.
 #[test]
 fn divergence_abort_drains_fibers() {
     let body = || {
@@ -352,30 +423,27 @@ fn divergence_abort_drains_fibers() {
         flag.store(1, Release);
         t.join();
     };
-    let cap = |base: Config| Config {
-        max_spins: 3,
-        ..base
-    };
-    let fib = mc::explore(cap(fiber_config()), body);
-    let os = mc::explore(cap(os_thread_config()), body);
-    assert!(!fib.buggy(), "{:?}", fib.bugs);
-    assert!(fib.diverged > 0, "spin bound never hit: {}", fib.summary());
+    let fib = mc::explore(
+        Config {
+            max_spins: 3,
+            ..fiber_config()
+        },
+        body,
+    );
     assert_eq!(
-        (fib.executions, fib.feasible, fib.diverged, fib.peak_depth),
-        (os.executions, os.feasible, os.diverged, os.peak_depth),
+        render(&fib),
+        "executions=8 feasible=4 diverged=1 sleep_pruned=3 rf_pruned=5 peak_depth=7 rf_classes=4 bugs=[]"
     );
 }
 
-/// Hang injection: one rf-branch of the program wedges forever. Under
-/// the OS-thread host the explorer's watchdog poll detects the stall and
-/// leaks the wedged worker; under the fiber host the monitor thread
-/// preempts the wedged fiber with a signal and the explorer drains in
-/// place. Both must report the *same* `InternalHang` rendering (built
-/// from the configured limit and the deterministic trace, never from
-/// measured time) and keep exploring the remaining branches with
-/// identical counters.
+/// Hang injection: one rf-branch of the program wedges forever. The
+/// monitor thread preempts the wedged fiber with a signal and the
+/// explorer drains in place. The `InternalHang` rendering is built from
+/// the configured limit and the deterministic trace, never from measured
+/// time, so the whole result — including the exploration of the
+/// remaining branches — matches the frozen golden.
 #[test]
-fn injected_hang_reported_identically_and_exploration_continues() {
+fn injected_hang_matches_golden_and_exploration_continues() {
     let body = || {
         let flag = Atomic::new(0i32);
         let t = mc::thread::spawn(move || {
@@ -383,40 +451,25 @@ fn injected_hang_reported_identically_and_exploration_continues() {
         });
         if flag.load(Acquire) == 1 {
             // Wedge: no visible op, no progress hint — only the watchdog
-            // can end this branch. Parking (rather than spinning) keeps
-            // the leaked OS-thread-host worker from burning CPU for the
-            // rest of the test process.
+            // can end this branch.
             loop {
                 std::thread::park();
             }
         }
         t.join();
     };
-    let short = |base: Config| Config {
-        hang_timeout: Some(std::time::Duration::from_millis(300)),
-        stop_on_first_bug: false,
-        ..base
-    };
-    let fib = mc::explore(short(fiber_watchdog_config()), body);
-    let os = mc::explore(short(os_thread_config()), body);
-    assert!(fib.buggy(), "injected hang not detected under fibers");
-    assert!(
-        fib.bugs
-            .iter()
-            .any(|f| f.bug.to_string().contains("internal hang")),
-        "{:?}",
-        fib.bugs
+    let fib = mc::explore(
+        Config {
+            hang_timeout: Some(std::time::Duration::from_millis(300)),
+            stop_on_first_bug: false,
+            ..fiber_watchdog_config()
+        },
+        body,
     );
-    // Exploration continued past the wedged branch: the read-from-init
-    // branch completed as a feasible execution too.
-    assert!(fib.executions > 1, "{}", fib.summary());
-    assert!(fib.feasible > 0, "{}", fib.summary());
-    let render = |s: &mc::Stats| {
-        let mut b: Vec<String> = s.bugs.iter().map(|f| f.bug.to_string()).collect();
-        b.sort();
-        (s.executions, s.feasible, s.diverged, b)
-    };
-    assert_eq!(render(&fib), render(&os));
+    assert_eq!(
+        render(&fib),
+        "executions=2 feasible=2 diverged=0 sleep_pruned=0 rf_pruned=1 peak_depth=1 rf_classes=1 bugs=[\"internal hang: no scheduling progress for 300 ms (T0 wedged after e4:Load@T0)\"]"
+    );
 }
 
 /// Deeper thread fan-out than the default probe programs: exercises fiber
@@ -438,10 +491,8 @@ fn many_threads_on_pooled_stacks() {
         mc::mc_assert!(c.load(Acquire) == 4);
     };
     let fib = mc::explore(fiber_config(), body);
-    let os = mc::explore(os_thread_config(), body);
-    assert!(!fib.buggy(), "{:?}", fib.bugs);
     assert_eq!(
-        (fib.executions, fib.feasible, &fib.rf_classes),
-        (os.executions, os.feasible, &os.rf_classes),
+        render(&fib),
+        "executions=60 feasible=24 diverged=0 sleep_pruned=36 rf_pruned=0 peak_depth=6 rf_classes=24 bugs=[]"
     );
 }

@@ -1,17 +1,16 @@
-//! Hardening tests for watchdog-compatible fiber hosting.
+//! Hardening tests for the fiber host's failure paths.
 //!
-//! `Config::default` now rides the fiber fast path with its hang watchdog
-//! armed: a monitor thread samples the shared heartbeat and, on stall,
-//! preempts the wedged fiber with a signal so the explorer can abandon it
-//! and keep exploring. A `PROT_NONE` guard region below every fiber stack
-//! (plus canary words for the portable fallback) turns stack overflow
-//! into a clean bug report instead of silent corruption.
+//! `Config::default` arms the hang watchdog: a monitor thread samples the
+//! shared heartbeat and, on stall, preempts the wedged fiber with a signal
+//! so the explorer can abandon it and keep exploring. A `PROT_NONE` guard
+//! region below every fiber stack (plus canary words for the heap-stack
+//! fallback) turns stack overflow into a clean bug report instead of
+//! silent corruption.
 //!
 //! These tests exercise the failure paths end to end: injected hangs must
 //! be rescued with exploration continuing on fresh stacks, and deep
-//! recursion must produce a deterministic report under both hosts. The
-//! fiber/pool *equivalence* of these paths is pinned separately in
-//! `fiber_equivalence.rs`.
+//! recursion must produce a deterministic report. The golden results of
+//! these paths are pinned separately in `fiber_equivalence.rs`.
 
 use std::time::Duration;
 
@@ -104,15 +103,12 @@ fn deep(n: u64) -> u64 {
     deep(n - 1).wrapping_add(u64::from(std::hint::black_box(frame[4095])))
 }
 
-/// Under the fiber host, runaway recursion hits the `PROT_NONE` guard
-/// region below the fiber stack; the SIGSEGV handler (on the alternate
-/// signal stack) converts the fault into a deterministic
-/// `Bug::StackOverflow` and exploration shuts down cleanly. Gated to the
-/// guarded-mapping target: on the heap-stack fallback unbounded recursion
-/// would be genuine UB, which is exactly why guard pages exist.
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+/// Runaway recursion hits the `PROT_NONE` guard region below the fiber
+/// stack; the SIGSEGV handler (on the alternate signal stack) converts
+/// the fault into a deterministic `Bug::StackOverflow` and exploration
+/// shuts down cleanly.
 #[test]
-fn fiber_stack_overflow_reports_cleanly() {
+fn guard_page_overflow_reports_cleanly() {
     let stats = mc::explore(watchdog_config(30_000), || {
         let a = Atomic::new(0i64);
         a.store(1, Relaxed);
@@ -128,108 +124,6 @@ fn fiber_stack_overflow_reports_cleanly() {
     );
 }
 
-/// `Config::fiber_stack` really sizes the stacks: a recursion that fits
-/// comfortably inside the default 1 MiB overflows a 64 KiB stack, and the
-/// guard-page machinery converts it into the same deterministic
-/// `Bug::StackOverflow` at the smaller size. The flip side — the same
-/// workload is clean at the default — pins that the small-stack report
-/// comes from the configured size, not from a latent bug.
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-#[test]
-fn fiber_stack_config_sizes_the_guarded_stacks() {
-    // ~40 frames x ~4 KiB ≈ 160 KiB: inside the 1 MiB default, far
-    // outside a 64 KiB stack.
-    let body = || {
-        let a = Atomic::new(0i64);
-        a.store(1, Relaxed);
-        std::hint::black_box(deep(40));
-    };
-    let small = mc::explore(
-        Config {
-            fiber_stack: 64 << 10,
-            ..watchdog_config(30_000)
-        },
-        body,
-    );
-    assert!(small.buggy(), "64 KiB stack survived a 160 KiB recursion");
-    let rendered: Vec<String> = small.bugs.iter().map(|f| f.bug.to_string()).collect();
-    assert!(
-        rendered.iter().any(|b| b.contains("stack overflow")),
-        "{rendered:?}"
-    );
-
-    let roomy = mc::explore(watchdog_config(30_000), body);
-    assert!(
-        !roomy.buggy(),
-        "default stack must fit the same recursion: {:?}",
-        roomy.bugs
-    );
-    assert!(roomy.feasible > 0);
-}
-
-/// A custom (non-default, non-overflowing) stack size hosts a normal
-/// multi-threaded exploration cleanly — the canary, pooling, and switch
-/// machinery have no hidden dependence on the default size.
-#[test]
-fn custom_fiber_stack_hosts_cleanly() {
-    let stats = mc::explore(
-        Config {
-            fiber_stack: 256 << 10,
-            ..watchdog_config(30_000)
-        },
-        || {
-            let a = Atomic::new(0i64);
-            let t = mc::thread::spawn(move || {
-                a.fetch_add(1, mc::MemOrd::AcqRel);
-            });
-            t.join();
-            mc::mc_assert!(a.load(Acquire) == 1);
-        },
-    );
-    assert!(!stats.buggy(), "{:?}", stats.bugs);
-    assert!(stats.feasible > 0);
-}
-
-/// Under the OS-thread reference host the same recursion overflows a pool
-/// worker's native stack. There is no in-process report to give — std's
-/// own guard page turns it into the standard "has overflowed its stack"
-/// process abort — but that is still a *clean, attributed* death, not
-/// silent corruption. Run it in a subprocess and assert the message.
-#[test]
-fn os_host_stack_overflow_aborts_cleanly() {
-    if std::env::var_os("CDSSPEC_OVERFLOW_CHILD").is_some() {
-        // Child: overflow a pool worker. This aborts the process.
-        let _ = mc::explore(
-            Config {
-                fiber_hosting: false,
-                ..watchdog_config(30_000)
-            },
-            || {
-                std::hint::black_box(deep(u64::MAX));
-            },
-        );
-        return; // unreachable on a working guard
-    }
-    let out = std::process::Command::new(std::env::current_exe().unwrap())
-        .args([
-            "os_host_stack_overflow_aborts_cleanly",
-            "--exact",
-            "--nocapture",
-        ])
-        .env("CDSSPEC_OVERFLOW_CHILD", "1")
-        .output()
-        .expect("re-exec test binary");
-    assert!(
-        !out.status.success(),
-        "child survived an unbounded recursion"
-    );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("has overflowed its stack"),
-        "expected std's overflow abort, got: {err}"
-    );
-}
-
 /// Regression for a rescue-vs-engine-lock deadlock. Invisible operations
 /// (`Data` accesses, `Atomic::new`, `mc::alloc`, …) lock `Shared::inner`
 /// through `with_ctx` without posting a visible op, so a thread wedged in
@@ -242,7 +136,6 @@ fn os_host_stack_overflow_aborts_cleanly() {
 /// the whole `with_ctx` body, the retried rescue signal can only land in
 /// the gate-open window between iterations, and this exploration
 /// terminates.
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[test]
 fn invisible_op_spin_wedge_is_rescued_without_deadlock() {
     let body = || {
@@ -260,7 +153,6 @@ fn invisible_op_spin_wedge_is_rescued_without_deadlock() {
     };
     let stats = mc::explore(
         Config {
-            fiber_hosting: true,
             stop_on_first_bug: false,
             ..watchdog_config(250)
         },
@@ -282,25 +174,18 @@ fn invisible_op_spin_wedge_is_rescued_without_deadlock() {
 /// child that wedges before its first visible op was never `last_sched`.
 /// The rescue path must report the tid the signal handler actually
 /// preempted — not the scheduler's last pick (the parent).
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[test]
 fn hang_report_names_a_never_scheduled_child() {
-    let stats = mc::explore(
-        Config {
-            fiber_hosting: true,
-            ..watchdog_config(250)
-        },
-        || {
-            let t = mc::thread::spawn(|| {
-                // Wedge before the first visible op: this thread never
-                // becomes the target of a scheduling decision.
-                loop {
-                    std::thread::park();
-                }
-            });
-            t.join();
-        },
-    );
+    let stats = mc::explore(watchdog_config(250), || {
+        let t = mc::thread::spawn(|| {
+            // Wedge before the first visible op: this thread never
+            // becomes the target of a scheduling decision.
+            loop {
+                std::thread::park();
+            }
+        });
+        t.join();
+    });
     assert!(stats.buggy(), "wedged child not detected");
     let rendered: Vec<String> = stats.bugs.iter().map(|f| f.bug.to_string()).collect();
     assert!(

@@ -1,7 +1,8 @@
 //! Edge-case tests for the token-passing runtime: thread limits,
-//! truncation, yields, deep nesting, pool reuse across explorations, the
-//! verbose/validating config paths, and the resilience layer (watchdog,
-//! deadlines, checkpoint/resume, sampling degradation).
+//! truncation, yields, deep spawn chains, nested explorations, harness
+//! reuse across explorations, the verbose/validating config paths, and
+//! the resilience layer (watchdog, deadlines, checkpoint/resume, sampling
+//! degradation).
 
 use std::time::Duration;
 
@@ -112,8 +113,8 @@ fn unjoined_threads_complete() {
     );
 }
 
-/// The same process can run many explorations back-to-back (pool threads
-/// and panic hooks don't leak state across runs).
+/// The same process can run many explorations back-to-back (pooled fiber
+/// stacks and panic hooks don't leak state across runs).
 #[test]
 fn repeated_explorations_are_independent() {
     for round in 0..5 {
@@ -166,6 +167,42 @@ fn parallel_explorations() {
     h2.join().unwrap();
 }
 
+/// An exploration started from inside a modeled thread runs to completion
+/// on its own host and leaves the outer exploration untouched.
+#[test]
+fn nested_exploration_inside_a_modeled_thread() {
+    let inner_runs = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let record = std::sync::Arc::clone(&inner_runs);
+    let outer = mc::explore(Config::default(), move || {
+        let inner = mc::explore(Config::default(), || {
+            let data = Atomic::new(0i64);
+            let flag = Atomic::new(0i64);
+            let t = mc::thread::spawn(move || {
+                data.store(42, Relaxed);
+                flag.store(1, Release);
+            });
+            if flag.load(Acquire) == 1 {
+                mc_assert!(data.load(Relaxed) == 42);
+            }
+            t.join();
+        });
+        record
+            .lock()
+            .unwrap()
+            .push((inner.executions, inner.buggy()));
+    });
+    assert!(!outer.buggy(), "{:?}", outer.bugs);
+    let inner_runs = inner_runs.lock().unwrap();
+    assert!(!inner_runs.is_empty(), "the inner exploration never ran");
+    for &(executions, buggy) in inner_runs.iter() {
+        assert!(
+            executions >= 2,
+            "inner run explored {executions} executions"
+        );
+        assert!(!buggy, "inner release/acquire program reported a bug");
+    }
+}
+
 /// A branchy but tiny workload shared by the resilience tests: two
 /// storer threads racing two loads gives a choice tree of a few dozen
 /// leaves — big enough to interrupt, small enough to exhaust instantly.
@@ -194,9 +231,7 @@ fn watchdog_aborts_wedged_thread() {
         let t = mc::thread::spawn(move || {
             x.store(1, Relaxed);
             // Wedge: user code that never returns and never performs
-            // another visible operation. (`park` rather than a spin so
-            // the leaked OS thread doesn't burn a core for the rest of
-            // the test process's life.)
+            // another visible operation.
             loop {
                 std::thread::park();
             }
