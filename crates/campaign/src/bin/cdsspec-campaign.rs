@@ -6,7 +6,8 @@
 //!                  [--journal PATH] [--cache-dir DIR] [--in-process]
 //!                  [--lease-ms N] [--heartbeat-ms N] [--max-attempts N]
 //!                  [--chaos-kill-pct P] [--chaos-seed S] [--weaken S1,S2]
-//!                  [--connect ADDR [--status]] [--attach ADDR]
+//!                  [--connect ADDR [--status]]
+//!                  [--attach ADDR [--reconnect-ms N]]
 //! ```
 //!
 //! Exit codes are documented on the `cdsspec_campaign` crate root
@@ -19,10 +20,18 @@
 //!
 //! Hidden flags (used by the supervisor and the fault-injection tests):
 //! `--worker-mode`, `--poison BENCH`, `--halt-after N`.
+//!
+//! One parser reads every flag. A worker — `--worker-mode` on
+//! stdin/stdout, or `--attach ADDR` over TCP — takes its heartbeat,
+//! explorer threads and poison from the same `--heartbeat-ms`,
+//! `--worker-threads` and `--poison` values a campaign forwards to its
+//! subprocesses.
 
+use cdsspec_campaign::frame::FrameError;
 use cdsspec_campaign::net::{attach_worker, remote_campaign, request_status};
+use cdsspec_campaign::worker::serve;
 use cdsspec_campaign::{
-    run_campaign, worker_main, AttachOpts, CampaignOpts, CampaignRequest, WorkerOpts, EXIT_ERROR,
+    run_campaign, AttachOpts, CampaignOpts, CampaignRequest, WorkerOpts, EXIT_ERROR,
 };
 use std::time::Duration;
 
@@ -59,19 +68,12 @@ fn main() {
 }
 
 fn run(args: Vec<String>) -> i32 {
-    // Worker and attach modes have their own tiny flag sets; recognize
-    // them first so the supervisor's spawn line (and attach scripts)
-    // never trip over campaign-only validation.
-    if args.iter().any(|a| a == "--worker-mode") {
-        return run_worker(args);
-    }
-    if args.iter().any(|a| a == "--attach") {
-        return run_attach(args);
-    }
-
     let mut opts = CampaignOpts::default();
     let mut connect: Option<String> = None;
     let mut status = false;
+    let mut worker_mode = false;
+    let mut attach: Option<String> = None;
+    let mut reconnect_ms: Option<u64> = None;
     let mut it = args.into_iter();
     let missing = |flag: &str| {
         eprintln!("cdsspec-campaign: {flag} needs a value\n{USAGE}");
@@ -103,10 +105,7 @@ fn run(args: Vec<String>) -> i32 {
                     Some(value!().split(',').map(|s| s.trim().to_string()).collect());
             }
             "--workers" => opts.sup.workers = parse!(usize),
-            "--worker-threads" => {
-                opts.worker_threads = parse!(usize);
-                opts.sup.worker_threads = opts.worker_threads;
-            }
+            "--worker-threads" => opts.worker_threads = parse!(usize),
             "--split" => opts.split = parse!(u64),
             "--max-executions" => opts.max_executions = parse!(u64),
             "--stable" => opts.stable = true,
@@ -133,6 +132,9 @@ fn run(args: Vec<String>) -> i32 {
             "--halt-after" => opts.halt_after = Some(parse!(usize)),
             "--connect" => connect = Some(value!()),
             "--status" => status = true,
+            "--worker-mode" => worker_mode = true,
+            "--attach" => attach = Some(value!()),
+            "--reconnect-ms" => reconnect_ms = Some(parse!(u64)),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return 0;
@@ -144,6 +146,31 @@ fn run(args: Vec<String>) -> i32 {
         }
     }
 
+    let worker = WorkerOpts {
+        heartbeat: opts.sup.heartbeat,
+        worker_threads: opts.worker_threads,
+        poison: opts.sup.poison.clone(),
+    };
+    if worker_mode {
+        return match serve(std::io::stdin().lock(), std::io::stdout(), &worker) {
+            Ok(()) | Err(FrameError::Closed) => 0,
+            Err(e) => {
+                eprintln!("cdsspec-campaign worker: {e}");
+                EXIT_ERROR
+            }
+        };
+    }
+    if let Some(addr) = attach {
+        return attach_worker(&AttachOpts {
+            addr,
+            worker,
+            reconnect_budget: Duration::from_millis(reconnect_ms.unwrap_or(10_000)),
+        });
+    }
+    if reconnect_ms.is_some() {
+        eprintln!("cdsspec-campaign: --reconnect-ms needs --attach ADDR\n{USAGE}");
+        return EXIT_ERROR;
+    }
     if let Some(addr) = connect {
         return run_remote(&addr, status, &opts);
     }
@@ -212,77 +239,4 @@ fn run_remote(addr: &str, status: bool, opts: &CampaignOpts) -> i32 {
             EXIT_ERROR
         }
     }
-}
-
-fn run_worker(args: Vec<String>) -> i32 {
-    let mut opts = WorkerOpts {
-        heartbeat: Duration::from_millis(500),
-        worker_threads: 1,
-        poison: None,
-    };
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--worker-mode" => {}
-            "--heartbeat-ms" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(ms) => opts.heartbeat = Duration::from_millis(ms),
-                None => return EXIT_ERROR,
-            },
-            "--worker-threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => opts.worker_threads = n,
-                None => return EXIT_ERROR,
-            },
-            "--poison" => match it.next() {
-                Some(bench) => opts.poison = Some(bench),
-                None => return EXIT_ERROR,
-            },
-            other => {
-                eprintln!("cdsspec-campaign worker: unknown flag {other:?}");
-                return EXIT_ERROR;
-            }
-        }
-    }
-    worker_main(opts)
-}
-
-fn run_attach(args: Vec<String>) -> i32 {
-    let mut opts = AttachOpts {
-        addr: String::new(),
-        worker: WorkerOpts {
-            heartbeat: Duration::from_millis(500),
-            worker_threads: 1,
-            poison: None,
-        },
-        reconnect_budget: Duration::from_millis(10_000),
-    };
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--attach" => match it.next() {
-                Some(addr) => opts.addr = addr,
-                None => return EXIT_ERROR,
-            },
-            "--heartbeat-ms" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(ms) => opts.worker.heartbeat = Duration::from_millis(ms),
-                None => return EXIT_ERROR,
-            },
-            "--worker-threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => opts.worker.worker_threads = n,
-                None => return EXIT_ERROR,
-            },
-            "--poison" => match it.next() {
-                Some(bench) => opts.worker.poison = Some(bench),
-                None => return EXIT_ERROR,
-            },
-            "--reconnect-ms" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(ms) => opts.reconnect_budget = Duration::from_millis(ms),
-                None => return EXIT_ERROR,
-            },
-            other => {
-                eprintln!("cdsspec-campaign worker: unknown flag {other:?}");
-                return EXIT_ERROR;
-            }
-        }
-    }
-    attach_worker(&opts)
 }

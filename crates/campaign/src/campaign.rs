@@ -27,7 +27,9 @@ use crate::cache::{CacheKey, ResultCache};
 use crate::journal::Journal;
 use crate::json::Json;
 use crate::lease::{Outcome, TaskSpec, TaskTable};
-use crate::supervisor::{SlotStats, Supervisor, SupervisorOpts, SupervisorStats, Transport};
+use crate::supervisor::{
+    SlotStats, SubprocessTransport, Supervisor, SupervisorOpts, SupervisorStats, Transport,
+};
 use crate::wire::{config_hash, spec_hash, stats_from_json, stats_to_json, task_key};
 use crate::{EXIT_BUG, EXIT_CLEAN, EXIT_RESUMABLE};
 use cdsspec_mc::{Config, ShardSpec, Stats, StopReason};
@@ -53,7 +55,8 @@ pub struct CampaignOpts {
     /// Run tasks in this process instead of worker subprocesses (the
     /// fault-free baseline chaos runs are diffed against).
     pub in_process: bool,
-    /// Explorer threads per task.
+    /// Explorer threads per task, in this process or in each worker
+    /// subprocess.
     pub worker_threads: usize,
     /// Journal path (`None` = no journal).
     pub journal: Option<PathBuf>,
@@ -255,12 +258,14 @@ pub fn run_campaign_with(
     let mut sup = if opts.in_process && transport.is_none() {
         None
     } else {
-        let mut sup_opts = opts.sup.clone();
-        sup_opts.weaken = opts.weaken.clone();
-        Some(match transport {
-            Some(t) => Supervisor::with_transport(sup_opts, t),
-            None => Supervisor::new(sup_opts),
-        })
+        let transport = transport.unwrap_or_else(|| {
+            Box::new(SubprocessTransport {
+                heartbeat: opts.sup.heartbeat,
+                worker_threads: opts.worker_threads,
+                poison: opts.sup.poison.clone(),
+            })
+        });
+        Some(Supervisor::new(opts.sup.clone(), transport))
     };
 
     let mut rows: Vec<Row> = Vec::new();
@@ -591,7 +596,7 @@ fn run_tasks(
                     table.preload_done(id, stats.clone());
                 }
             }
-            sup.run_batch(base_config, &mut table, |id, stats| {
+            sup.run_batch(base_config, &opts.weaken, &mut table, |id, stats| {
                 journal_task(journal, &keys[id], stats);
             });
             table.outcomes()

@@ -4,7 +4,7 @@
 //!
 //! - a **worker registry**: TCP connections that completed the
 //!   [`crate::net::NetHello::Attach`] handshake. Each has a dedicated
-//!   reader thread routing its framed [`crate::proto`] lines to
+//!   reader thread routing its [`crate::proto`] messages to
 //!   whatever supervisor slot the worker is currently wired to; a
 //!   connection that dies while wired surfaces as [`Event::Eof`] and
 //!   the supervisor requeues its lease — byte-for-byte the same
@@ -20,15 +20,19 @@
 //! pool and the determinism argument is per-campaign, so concurrent
 //! interleaving would only add scheduling noise for zero throughput
 //! (the pool is the bottleneck either way).
+//!
+//! When the daemon stops, every idle worker is sent `Exit` and its
+//! socket is closed, so attached workers return at once instead of
+//! blocking on a connection nobody will use again.
 
 use crate::campaign::{run_campaign_with, CampaignOpts};
+use crate::frame::{read_frame, write_frame};
 use crate::net::{
-    read_frame, registry_hash, write_frame, CampaignRequest, NetHello, NetReply, StatusReport,
-    WorkerStatus, PROTO_VERSION,
+    registry_hash, CampaignRequest, NetHello, NetReply, StatusReport, WorkerStatus, PROTO_VERSION,
 };
 use crate::proto::ToWorker;
 use crate::supervisor::{Event, Provision, SupervisorOpts, Transport, WorkerLink};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -63,13 +67,13 @@ impl Default for DaemonOpts {
     }
 }
 
-/// Where an attached worker's incoming lines currently go.
+/// Where an attached worker's incoming messages currently go.
 enum Route {
-    /// Attached, not wired to any slot; lines are dropped (a worker
+    /// Attached, not wired to any slot; messages are dropped (a worker
     /// speaks only when spoken to, so there is nothing to drop in
     /// practice beyond a late heartbeat).
     Idle,
-    /// Wired to supervisor slot `slot` at provision `epoch`; lines
+    /// Wired to supervisor slot `slot` at provision `epoch`; messages
     /// forward to the supervisor's event channel.
     Wired {
         slot: usize,
@@ -87,6 +91,16 @@ struct RemoteWorker {
     route: Arc<Mutex<Route>>,
 }
 
+impl RemoteWorker {
+    /// Tell the worker to exit, then close the connection. Its serve
+    /// loop ends on the `Exit` and `attach_worker` returns 0; the
+    /// daemon-side reader thread ends on the close.
+    fn dismiss(mut self) {
+        let _ = write_frame(&mut self.writer, &ToWorker::Exit.encode());
+        let _ = self.writer.shutdown(Shutdown::Both);
+    }
+}
+
 struct RosterEntry {
     pid: u32,
     addr: String,
@@ -98,6 +112,9 @@ struct RosterEntry {
 #[derive(Default)]
 struct WorkerRegistry {
     idle: Mutex<Vec<RemoteWorker>>,
+    /// Set (under the `idle` lock) once the daemon stops; workers parked
+    /// after that are dismissed instead of pooled.
+    closed: AtomicBool,
     roster: Mutex<Vec<RosterEntry>>,
 }
 
@@ -118,11 +135,11 @@ impl WorkerRegistry {
             let mut reader = stream;
             std::thread::spawn(move || loop {
                 match read_frame(&mut reader) {
-                    Ok(line) => {
+                    Ok(payload) => {
                         let r = route.lock().unwrap_or_else(|p| p.into_inner());
                         match &*r {
                             Route::Wired { slot, epoch, tx } => {
-                                let _ = tx.send(Event::Line(*slot, *epoch, line));
+                                let _ = tx.send(Event::Frame(*slot, *epoch, payload));
                             }
                             Route::Idle => {} // late heartbeat; drop
                             Route::Dead => break,
@@ -139,10 +156,32 @@ impl WorkerRegistry {
                 }
             });
         }
-        self.idle
-            .lock()
-            .unwrap()
-            .push(RemoteWorker { writer, route });
+        self.park(RemoteWorker { writer, route });
+    }
+
+    /// Return a live worker to the idle pool — or dismiss it, if the
+    /// daemon has stopped.
+    fn park(&self, worker: RemoteWorker) {
+        let mut idle = self.idle.lock().unwrap();
+        if self.closed.load(Ordering::SeqCst) {
+            drop(idle);
+            worker.dismiss();
+        } else {
+            idle.push(worker);
+        }
+    }
+
+    /// Stop pooling: dismiss every idle worker now and every worker
+    /// parked later.
+    fn close(&self) {
+        let drained = {
+            let mut idle = self.idle.lock().unwrap();
+            self.closed.store(true, Ordering::SeqCst);
+            std::mem::take(&mut *idle)
+        };
+        for worker in drained {
+            worker.dismiss();
+        }
     }
 
     /// Pop an idle live worker and wire it to `(slot, epoch, tx)`.
@@ -228,7 +267,7 @@ impl WorkerLink for NetLink {
             // then sever the socket: the remote worker sees the close
             // and reconnects as a fresh attach.
             *w.route.lock().unwrap_or_else(|p| p.into_inner()) = Route::Dead;
-            let _ = w.writer.shutdown(std::net::Shutdown::Both);
+            let _ = w.writer.shutdown(Shutdown::Both);
         }
     }
 
@@ -242,7 +281,7 @@ impl WorkerLink for NetLink {
             // outlives the campaign and goes back in the pool.
             *r = Route::Idle;
             drop(r);
-            self.registry.idle.lock().unwrap().push(w);
+            self.registry.park(w);
         }
     }
 }
@@ -320,6 +359,7 @@ pub fn run_daemon_on(listener: TcpListener, opts: DaemonOpts) -> Result<i32, Str
         let state = Arc::clone(&state);
         std::thread::spawn(move || handle_conn(stream, &state));
     }
+    state.registry.close();
     Ok(0)
 }
 

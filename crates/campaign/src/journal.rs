@@ -1,19 +1,20 @@
 //! The append-only campaign journal.
 //!
-//! Every durable campaign event is one framed record appended to a single
-//! file and fsync'd before the campaign acts on it:
+//! Every durable campaign event is one record appended to a single file
+//! and fsync'd before the campaign acts on it:
 //!
 //! ```text
-//! cdsspec-journal v1\n                      (magic header, once)
-//! [len: u32 LE][crc32: u32 LE][payload: len bytes]   (per record)
+//! cdsspec-journal v1\n                              (magic header, once)
+//! [len: u32 LE][crc32: u32 LE][payload: len bytes]  (per record)
 //! ```
 //!
-//! The payload is a single-line JSON object (see [`crate::json`]); the
-//! CRC covers the payload bytes. On open, the journal replays every
-//! record, verifying length and checksum; the first frame that is
-//! truncated or fails its CRC — the fingerprint of a crash mid-append —
-//! ends the replay, and the file is **truncated back to the last valid
-//! record** so subsequent appends continue from a clean state. A bad
+//! Each record is one [`crate::frame`] frame — the codec the worker
+//! links use too — whose payload is a JSON object (see [`crate::json`]).
+//! On open, the journal replays the records with [`read_frame`]; the
+//! first frame that fails to read — truncated, over the cap, or failing
+//! its CRC: the fingerprint of a crash mid-append — ends the replay, and
+//! the file is **truncated back to the last valid record** so subsequent
+//! appends continue from a clean state. A bad
 //! *header* is not recoverable (the file is not ours) and is reported as
 //! a typed error instead.
 //!
@@ -21,20 +22,15 @@
 //! a temp file + rename, for retiring a finished campaign's history.
 
 use crate::error::ParseError;
+use crate::frame::{frame_bytes, read_frame, write_frame};
 use crate::fsio::write_atomic;
-use crate::hash::crc32;
 use crate::json::Json;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Cursor, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic first line of every journal file.
 pub const MAGIC: &str = "cdsspec-journal v1\n";
-
-/// Frames larger than this are treated as tail corruption, not records —
-/// no legitimate campaign record approaches it, and honoring a garbage
-/// length prefix would mean a multi-gigabyte allocation.
-const MAX_RECORD: u32 = 64 << 20;
 
 /// What [`Journal::open`] recovered from an existing file.
 #[derive(Debug, Default)]
@@ -94,19 +90,18 @@ impl Journal {
         }
 
         let mut recovery = Recovery::default();
-        let mut pos = MAGIC.len();
-        let mut valid_end = pos;
-        while pos < bytes.len() {
-            let Some(frame) = decode_frame(&bytes[pos..]) else {
-                break; // truncated or corrupted tail
-            };
-            let (payload, frame_len) = frame;
-            let Ok(record) = Json::parse(payload) else {
+        let mut cursor = Cursor::new(&bytes);
+        cursor.set_position(MAGIC.len() as u64);
+        let mut valid_end = MAGIC.len();
+        // Any error ends the replay: a clean close at a record boundary
+        // leaves `valid_end` at the file's end; anything else is a torn
+        // or corrupted tail, cut off below.
+        while let Ok(payload) = read_frame(&mut cursor) {
+            let Ok(record) = Json::parse(&payload) else {
                 break; // CRC passed but payload is not our JSON: corrupt
             };
             recovery.records.push(record);
-            pos += frame_len;
-            valid_end = pos;
+            valid_end = cursor.position() as usize;
         }
         if valid_end < bytes.len() {
             recovery.dropped_bytes = (bytes.len() - valid_end) as u64;
@@ -126,17 +121,11 @@ impl Journal {
     /// Append one record and fsync it. When this returns, the record
     /// survives a crash of this process and of the machine.
     pub fn append(&mut self, record: &Json) -> Result<(), ParseError> {
-        let payload = record.encode();
-        let payload = payload.as_bytes();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
         let io_err = |error: std::io::Error| ParseError::Io {
             path: self.path.clone(),
             error,
         };
-        self.file.write_all(&frame).map_err(io_err)?;
+        write_frame(&mut self.file, &record.encode()).map_err(io_err)?;
         self.file.sync_data().map_err(io_err)?;
         Ok(())
     }
@@ -152,38 +141,13 @@ impl Journal {
     pub fn compact(path: &Path, records: &[Json]) -> Result<(), ParseError> {
         let mut bytes = Vec::from(MAGIC.as_bytes());
         for record in records {
-            let payload = record.encode();
-            let payload = payload.as_bytes();
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-            bytes.extend_from_slice(payload);
+            bytes.extend_from_slice(&frame_bytes(&record.encode()));
         }
         write_atomic(path, &bytes).map_err(|error| ParseError::Io {
             path: path.to_path_buf(),
             error,
         })
     }
-}
-
-/// Decode one `[len][crc][payload]` frame from the front of `bytes`.
-/// Returns the payload text and total frame length, or `None` if the
-/// frame is truncated, oversized, checksum-corrupt, or not UTF-8.
-fn decode_frame(bytes: &[u8]) -> Option<(&str, usize)> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    let crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if len > MAX_RECORD {
-        return None;
-    }
-    let end = 8usize.checked_add(len as usize)?;
-    let payload = bytes.get(8..end)?;
-    if crc32(payload) != crc {
-        return None;
-    }
-    let payload = std::str::from_utf8(payload).ok()?;
-    Some((payload, end))
 }
 
 #[cfg(test)]
@@ -214,6 +178,30 @@ mod tests {
         let (_, recovery) = Journal::open(&path).unwrap();
         assert_eq!(recovery.records, vec![rec(1), rec(2)]);
         assert_eq!(recovery.dropped_bytes, 0);
+    }
+
+    /// A journal spelled out byte by byte in the on-disk format written
+    /// before the wire shared its codec: magic line, then per record a
+    /// literal little-endian `[len][crc32]` header and the payload.
+    #[test]
+    fn hand_written_journal_replays_and_its_torn_tail_is_cut() {
+        let path = temp_path("literal");
+        let mut bytes = MAGIC.as_bytes().to_vec();
+        bytes.extend_from_slice(&[7, 0, 0, 0, 0x7e, 0x3b, 0x4b, 0xd4]);
+        bytes.extend_from_slice(b"{\"n\":1}");
+        bytes.extend_from_slice(&[7, 0, 0, 0, 0xbd, 0x68, 0x66, 0xff]);
+        bytes.extend_from_slice(b"{\"n\":2}");
+        let valid_len = bytes.len();
+        // A third record torn mid-payload by a crash.
+        bytes.extend_from_slice(&[7, 0, 0, 0, 0xfc, 0x59, 0x7d, 0xe6]);
+        bytes.extend_from_slice(b"{\"n\"");
+        std::fs::write(&path, &bytes).unwrap();
+
+        let (_, recovery) = Journal::open(&path).unwrap();
+        let n = |k: u64| Json::obj(vec![("n", Json::num(k))]);
+        assert_eq!(recovery.records, vec![n(1), n(2)]);
+        assert_eq!(recovery.dropped_bytes, 12);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes[..valid_len]);
     }
 
     #[test]

@@ -5,14 +5,16 @@
 //! real world:
 //!
 //! - **Process isolation** ([`supervisor`], [`worker`]): shards run in
-//!   worker *subprocesses*, so a crash — a wedged allocator, a `kill -9`,
-//!   an OOM kill — costs one shard's CPU time, never the campaign.
+//!   worker *subprocesses* (or remote workers attached over TCP, see
+//!   [`daemon`]), so a crash — a wedged allocator, a `kill -9`, an OOM
+//!   kill — costs one shard's CPU time, never the campaign. Every link,
+//!   and the journal, speaks one CRC-checked [`frame`] format.
 //! - **Shard leases** ([`lease`]): every dispatched shard has an owner
 //!   and a heartbeat-extended deadline; expired or orphaned shards are
 //!   re-dispatched with exponential backoff, and shards that repeatedly
 //!   crash their worker are quarantined and reported as *suspect*.
 //! - **Journaled checkpoints** ([`journal`]): campaign progress is an
-//!   append-only, CRC-framed, fsync'd record log; a campaign killed at
+//!   append-only, fsync'd log of CRC-checked frames; a campaign killed at
 //!   any instant resumes from the last durable record, and a torn tail
 //!   is truncated away on open.
 //! - **Result cache** ([`cache`]): completed per-benchmark results are
@@ -54,6 +56,7 @@ pub mod cache;
 pub mod campaign;
 pub mod daemon;
 pub mod error;
+pub mod frame;
 pub mod fsio;
 pub mod hash;
 pub mod journal;
@@ -73,4 +76,4 @@ pub use journal::{Journal, Recovery};
 pub use lease::{Outcome, TaskSpec, TaskTable};
 pub use net::{AttachOpts, CampaignRequest, StatusReport};
 pub use supervisor::{Supervisor, SupervisorOpts, SupervisorStats, Transport, WorkerLink};
-pub use worker::{worker_main, WorkerOpts};
+pub use worker::WorkerOpts;

@@ -1,25 +1,15 @@
-//! The networked campaign wire: CRC-guarded frames over TCP, the
-//! attach handshake, and the client/worker sides of the daemon
-//! protocol.
+//! The networked campaign wire: the attach handshake and the client and
+//! worker sides of the daemon protocol.
 //!
 //! ## Framing
 //!
-//! The supervisor ⇄ worker protocol ([`crate::proto`]) is
-//! newline-delimited JSON; over a pipe the OS guarantees stream
-//! integrity, over TCP nothing guards against a half-written buffer
-//! from a dying peer. Every payload line therefore travels as one
-//! frame:
-//!
-//! ```text
-//! [len: u32 BE] [crc32(payload): u32 BE] [payload bytes]
-//! ```
-//!
-//! A frame that fails *any* check — truncated header, truncated
-//! payload, oversized length, CRC mismatch, non-UTF-8 — is
-//! [`FrameError::Corrupt`]: the connection is declared dead, exactly
-//! like a SIGKILLed subprocess. Corruption can requeue a shard, never
-//! misparse into a different message — the same stance the journal and
-//! cache take toward torn writes.
+//! Every TCP connection carries [`crate::frame`] frames — the same
+//! little-endian, CRC-guarded codec as the subprocess pipe and the
+//! journal. Over TCP nothing guards against a half-written buffer from a
+//! dying peer, and the frame check is what turns one into a clean
+//! failure: a frame that fails it kills the connection exactly like a
+//! SIGKILLed subprocess. Corruption can requeue a shard, never misparse
+//! into a different message.
 //!
 //! ## Handshake
 //!
@@ -32,174 +22,24 @@
 //! - a **client** sends [`NetHello::Campaign`] (same version/registry
 //!   guard) or [`NetHello::Status`].
 //!
-//! Everything after the handshake is ordinary [`crate::proto`] lines
-//! in frames (worker connections) or a single [`NetReply`] frame
-//! (client connections).
+//! After a [`NetReply::Welcome`], a worker connection carries ordinary
+//! [`crate::proto`] messages, served by [`crate::worker::serve`]; a
+//! client connection gets a single [`NetReply`] frame.
 
-use crate::hash::{crc32, Fnv1a};
+use crate::frame::{read_frame, write_frame, FrameError};
+use crate::hash::Fnv1a;
 use crate::json::Json;
-use crate::proto::{FromWorker, ToWorker};
 use crate::wire::spec_hash;
-use crate::worker::{execute_run, WorkerOpts, IDLE};
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use crate::worker::{serve, WorkerOpts};
+use std::io::Write;
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
-/// Version of the framed TCP protocol. Bumped on any change to the
+/// Version of the networked protocol. Bumped on any change to the
 /// framing, the handshake, or the [`crate::proto`] message set; the
-/// daemon rejects mismatched peers at attach time.
-pub const PROTO_VERSION: u64 = 1;
-
-/// Hard cap on a single frame's payload (defense against a corrupt or
-/// hostile length word committing us to a multi-gigabyte read). Result
-/// lines with large frontiers run to kilobytes; 16 MiB is orders of
-/// magnitude of headroom.
-pub const MAX_FRAME: usize = 16 << 20;
-
-/// Why a frame could not be read.
-#[derive(Debug)]
-pub enum FrameError {
-    /// The peer closed the stream cleanly between frames.
-    Closed,
-    /// The stream died mid-frame or carried a frame that fails
-    /// validation (truncation, oversize, CRC mismatch, bad UTF-8).
-    /// Indistinguishable from peer death — treated exactly like it.
-    Corrupt(String),
-    /// The underlying socket read failed.
-    Io(std::io::Error),
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Closed => write!(f, "connection closed"),
-            FrameError::Corrupt(why) => write!(f, "corrupt frame: {why}"),
-            FrameError::Io(e) => write!(f, "socket error: {e}"),
-        }
-    }
-}
-
-/// Encode `payload` as one frame (length + CRC header, then the
-/// bytes). Pure function of the payload — shared by the socket writer
-/// and the proptest suite.
-pub fn frame_bytes(payload: &str) -> Vec<u8> {
-    let bytes = payload.as_bytes();
-    let mut out = Vec::with_capacity(8 + bytes.len());
-    out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(bytes).to_be_bytes());
-    out.extend_from_slice(bytes);
-    out
-}
-
-/// Write one framed payload and flush it.
-pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
-    w.write_all(&frame_bytes(payload))?;
-    w.flush()
-}
-
-/// Read one frame. Distinguishes a clean close *between* frames
-/// ([`FrameError::Closed`]) from every flavor of mid-frame death or
-/// corruption ([`FrameError::Corrupt`]).
-pub fn read_frame(r: &mut impl Read) -> Result<String, FrameError> {
-    let mut header = [0u8; 8];
-    // First byte by hand: EOF here is a clean close, EOF anywhere later
-    // is a truncated frame.
-    let mut first = [0u8; 1];
-    loop {
-        match r.read(&mut first) {
-            Ok(0) => return Err(FrameError::Closed),
-            Ok(_) => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    header[0] = first[0];
-    r.read_exact(&mut header[1..])
-        .map_err(|_| FrameError::Corrupt("truncated header".into()))?;
-    decode_header_and_read(&header, |buf| {
-        r.read_exact(buf)
-            .map_err(|_| FrameError::Corrupt("truncated payload".into()))
-    })
-}
-
-/// Shared validation: parse an 8-byte header, obtain the payload via
-/// `fill`, check CRC and UTF-8.
-fn decode_header_and_read(
-    header: &[u8; 8],
-    fill: impl FnOnce(&mut [u8]) -> Result<(), FrameError>,
-) -> Result<String, FrameError> {
-    let len = u32::from_be_bytes(header[0..4].try_into().unwrap()) as usize;
-    let want_crc = u32::from_be_bytes(header[4..8].try_into().unwrap());
-    if len > MAX_FRAME {
-        return Err(FrameError::Corrupt(format!(
-            "frame length {len} exceeds cap {MAX_FRAME}"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    fill(&mut payload)?;
-    let got_crc = crc32(&payload);
-    if got_crc != want_crc {
-        return Err(FrameError::Corrupt(format!(
-            "crc mismatch: header {want_crc:#010x}, payload {got_crc:#010x}"
-        )));
-    }
-    String::from_utf8(payload).map_err(|_| FrameError::Corrupt("payload is not UTF-8".into()))
-}
-
-/// Incremental frame decoder over an in-memory byte stream. Feed bytes
-/// in arbitrary chunks with [`FrameSplitter::push`], pull complete
-/// payloads with [`FrameSplitter::next_frame`]. Exists so the proptest
-/// suite can exercise the exact header/CRC/UTF-8 validation logic over
-/// arbitrary splits without sockets.
-#[derive(Default)]
-pub struct FrameSplitter {
-    buf: Vec<u8>,
-}
-
-impl FrameSplitter {
-    /// An empty splitter.
-    pub fn new() -> Self {
-        FrameSplitter::default()
-    }
-
-    /// Append raw stream bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Decode the next complete frame, `Ok(None)` if more bytes are
-    /// needed. After the first `Err` the stream is dead; behavior of
-    /// further calls is unspecified (a real connection is torn down).
-    pub fn next_frame(&mut self) -> Result<Option<String>, FrameError> {
-        if self.buf.len() < 8 {
-            return Ok(None);
-        }
-        let header: [u8; 8] = self.buf[0..8].try_into().unwrap();
-        let len = u32::from_be_bytes(header[0..4].try_into().unwrap()) as usize;
-        if len > MAX_FRAME {
-            return Err(FrameError::Corrupt(format!(
-                "frame length {len} exceeds cap {MAX_FRAME}"
-            )));
-        }
-        if self.buf.len() < 8 + len {
-            return Ok(None);
-        }
-        let rest = self.buf.split_off(8 + len);
-        let whole = std::mem::replace(&mut self.buf, rest);
-        let payload = decode_header_and_read(&header, |buf| {
-            buf.copy_from_slice(&whole[8..]);
-            Ok(())
-        })?;
-        Ok(Some(payload))
-    }
-
-    /// Bytes buffered but not yet consumed as frames.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-}
+/// daemon rejects mismatched peers at attach time. Version 2 moved the
+/// frame header to little-endian and dropped the worker `hello`.
+pub const PROTO_VERSION: u64 = 2;
 
 /// FNV fold over every registered benchmark's name and spec hash, in
 /// registry order. Two binaries with the same registry hash agree on
@@ -321,7 +161,7 @@ pub enum NetHello {
 }
 
 impl NetHello {
-    /// Encode to a single JSON line.
+    /// Encode as one JSON payload.
     pub fn encode(&self) -> String {
         match self {
             NetHello::Attach {
@@ -352,7 +192,7 @@ impl NetHello {
         .encode()
     }
 
-    /// Decode one line.
+    /// Decode one payload.
     pub fn decode(line: &str) -> Result<NetHello, String> {
         let v = Json::parse(line)?;
         let proto = v
@@ -426,7 +266,7 @@ pub struct StatusReport {
 }
 
 impl StatusReport {
-    /// Encode to a single JSON line.
+    /// Encode as one JSON payload.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("pid", Json::num(self.pid)),
@@ -545,7 +385,7 @@ impl StatusReport {
 }
 
 /// The daemon's single reply frame on client connections (worker
-/// connections get a `Welcome`/`Reject` then switch to proto lines).
+/// connections get a `Welcome`/`Reject` then switch to proto messages).
 #[derive(Debug)]
 pub enum NetReply {
     /// Attach accepted; the connection is now a worker link.
@@ -574,7 +414,7 @@ pub enum NetReply {
 }
 
 impl NetReply {
-    /// Encode to a single JSON line.
+    /// Encode as one JSON payload.
     pub fn encode(&self) -> String {
         match self {
             NetReply::Welcome { pid } => Json::obj(vec![
@@ -603,7 +443,7 @@ impl NetReply {
         .encode()
     }
 
-    /// Decode one line.
+    /// Decode one payload.
     pub fn decode(line: &str) -> Result<NetReply, String> {
         let v = Json::parse(line)?;
         match v.get("msg").and_then(Json::as_str) {
@@ -646,20 +486,21 @@ impl NetReply {
     }
 }
 
-/// Ask a daemon for its status.
-pub fn request_status(addr: &str) -> Result<StatusReport, String> {
+/// Connect to `addr`, send `hello`, and read the daemon's one reply.
+fn ask(addr: &str, hello: &NetHello) -> Result<NetReply, String> {
     let mut stream =
         TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    write_frame(
-        &mut stream,
-        &NetHello::Status {
-            proto: PROTO_VERSION,
-        }
-        .encode(),
-    )
-    .map_err(|e| format!("send failed: {e}"))?;
+    write_frame(&mut stream, &hello.encode()).map_err(|e| format!("send failed: {e}"))?;
     let line = read_frame(&mut stream).map_err(|e| format!("daemon hung up: {e}"))?;
-    match NetReply::decode(&line)? {
+    NetReply::decode(&line)
+}
+
+/// Ask a daemon for its status.
+pub fn request_status(addr: &str) -> Result<StatusReport, String> {
+    let hello = NetHello::Status {
+        proto: PROTO_VERSION,
+    };
+    match ask(addr, &hello)? {
         NetReply::Status(status) => Ok(status),
         NetReply::Reject { reason } => Err(format!("daemon rejected status request: {reason}")),
         other => Err(format!("unexpected daemon reply {other:?}")),
@@ -676,20 +517,12 @@ pub fn remote_campaign(
     req: &CampaignRequest,
     out: &mut dyn Write,
 ) -> Result<(i32, String), String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    write_frame(
-        &mut stream,
-        &NetHello::Campaign {
-            proto: PROTO_VERSION,
-            registry: registry_hash(),
-            req: req.clone(),
-        }
-        .encode(),
-    )
-    .map_err(|e| format!("send failed: {e}"))?;
-    let line = read_frame(&mut stream).map_err(|e| format!("daemon hung up: {e}"))?;
-    match NetReply::decode(&line)? {
+    let hello = NetHello::Campaign {
+        proto: PROTO_VERSION,
+        registry: registry_hash(),
+        req: req.clone(),
+    };
+    match ask(addr, &hello)? {
         NetReply::Report {
             code,
             report,
@@ -710,7 +543,7 @@ pub struct AttachOpts {
     /// Daemon address to attach to.
     pub addr: String,
     /// Task-execution settings (heartbeat interval, explorer threads,
-    /// poison fault injection) — identical semantics to the stdio
+    /// poison fault injection) — the same [`serve`] loop as a stdio
     /// worker's.
     pub worker: WorkerOpts,
     /// Give up after this long of consecutive failed connection
@@ -720,215 +553,75 @@ pub struct AttachOpts {
     pub reconnect_budget: Duration,
 }
 
-/// Run a TCP worker: attach to the daemon, serve `Run` dispatches, and
-/// reconnect (with backoff) whenever the socket dies. Returns the
-/// process exit code.
+/// Run a TCP worker: attach to the daemon, [`serve`] its dispatches,
+/// and reconnect (with backoff) whenever the connection is lost. Returns
+/// the process exit code: 0 when the daemon sends `Exit` (it shuts down
+/// or has no further use for us) or when the reconnect budget runs out
+/// after at least one attach; 1 when the attach is rejected or no
+/// daemon was ever reached.
 pub fn attach_worker(opts: &AttachOpts) -> i32 {
     let mut ever_attached = false;
     let mut last_contact = Instant::now();
     let mut backoff = Duration::from_millis(50);
     loop {
-        let stream = match TcpStream::connect(&opts.addr) {
-            Ok(s) => s,
+        let attempt = TcpStream::connect(&opts.addr)
+            .map_err(|e| format!("cannot reach {}: {e}", opts.addr))
+            .and_then(|stream| handshake(&stream).map(|welcomed| (stream, welcomed)));
+        match attempt {
+            Ok((stream, true)) => {
+                ever_attached = true;
+                backoff = Duration::from_millis(50);
+                let end = serve(&stream, &stream, &opts.worker);
+                let _ = stream.shutdown(Shutdown::Both);
+                match end {
+                    Ok(()) => return 0,
+                    Err(e @ FrameError::Corrupt(_)) => {
+                        eprintln!("cdsspec-campaign worker: connection lost: {e}")
+                    }
+                    Err(_) => {} // the daemon went away or dropped us
+                }
+                last_contact = Instant::now();
+            }
+            Ok((_, false)) => return 1,
             Err(e) => {
                 if last_contact.elapsed() >= opts.reconnect_budget {
                     if !ever_attached {
-                        eprintln!("cdsspec-campaign worker: cannot reach {}: {e}", opts.addr);
+                        eprintln!("cdsspec-campaign worker: {e}");
                     }
                     return i32::from(!ever_attached);
                 }
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(Duration::from_secs(1));
-                continue;
-            }
-        };
-        backoff = Duration::from_millis(50);
-        match serve_connection(stream, opts) {
-            ServeEnd::Exit => return 0,
-            ServeEnd::Rejected => return 1,
-            ServeEnd::Disconnected { attached } => {
-                if attached {
-                    ever_attached = true;
-                    last_contact = Instant::now();
-                }
-                // Loop: the daemon may come back, or the budget expires.
             }
         }
     }
 }
 
-enum ServeEnd {
-    /// The daemon sent `Exit` (it has no further use for us).
-    Exit,
-    /// The daemon refused the handshake — retrying cannot help (wrong
-    /// version or registry; a restart of the same binaries would
-    /// mismatch again).
-    Rejected,
-    /// The socket died; maybe reconnect.
-    Disconnected {
-        /// Did the handshake complete on this connection?
-        attached: bool,
-    },
-}
-
-fn serve_connection(stream: TcpStream, opts: &AttachOpts) -> ServeEnd {
-    let mut reader = stream;
-    let Ok(writer) = reader.try_clone() else {
-        return ServeEnd::Disconnected { attached: false };
-    };
-    let writer = Arc::new(Mutex::new(writer));
-    let send = |msg: &FromWorker| -> bool {
-        let mut w = writer.lock().unwrap_or_else(|p| p.into_inner());
-        write_frame(&mut *w, &msg.encode()).is_ok()
-    };
-
+/// The worker side of the handshake: `Ok(true)` once welcomed,
+/// `Ok(false)` when rejected (retrying cannot help: a restart of the
+/// same binaries would mismatch again), `Err` when the connection failed
+/// first.
+fn handshake(mut stream: &TcpStream) -> Result<bool, String> {
     let hello = NetHello::Attach {
         proto: PROTO_VERSION,
         registry: registry_hash(),
         pid: std::process::id(),
     };
-    {
-        let mut w = writer.lock().unwrap_or_else(|p| p.into_inner());
-        if write_frame(&mut *w, &hello.encode()).is_err() {
-            return ServeEnd::Disconnected { attached: false };
+    write_frame(&mut stream, &hello.encode()).map_err(|e| format!("attach failed: {e}"))?;
+    let line = read_frame(&mut stream).map_err(|e| format!("attach failed: {e}"))?;
+    match NetReply::decode(&line)? {
+        NetReply::Welcome { .. } => Ok(true),
+        NetReply::Reject { reason } => {
+            eprintln!("cdsspec-campaign worker: attach rejected: {reason}");
+            Ok(false)
         }
+        other => Err(format!("unexpected daemon reply {other:?}")),
     }
-    match read_frame(&mut reader) {
-        Ok(line) => match NetReply::decode(&line) {
-            Ok(NetReply::Welcome { .. }) => {}
-            Ok(NetReply::Reject { reason }) => {
-                eprintln!("cdsspec-campaign worker: attach rejected: {reason}");
-                return ServeEnd::Rejected;
-            }
-            _ => return ServeEnd::Disconnected { attached: false },
-        },
-        Err(_) => return ServeEnd::Disconnected { attached: false },
-    }
-
-    // Heartbeat thread for this connection's lifetime. Send failures
-    // are ignored here — the serve loop notices the dead socket on its
-    // next read and tears the connection down.
-    let current = Arc::new(AtomicU64::new(IDLE));
-    let stop = Arc::new(AtomicBool::new(false));
-    let hb = {
-        let current = Arc::clone(&current);
-        let stop = Arc::clone(&stop);
-        let writer = Arc::clone(&writer);
-        let interval = opts.worker.heartbeat;
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                let task = current.load(Ordering::Relaxed);
-                if task != IDLE {
-                    let mut w = writer.lock().unwrap_or_else(|p| p.into_inner());
-                    let _ = write_frame(&mut *w, &FromWorker::Heartbeat { task }.encode());
-                }
-            }
-        })
-    };
-    let end = loop {
-        let line = match read_frame(&mut reader) {
-            Ok(line) => line,
-            Err(_) => break ServeEnd::Disconnected { attached: true },
-        };
-        match ToWorker::decode(&line) {
-            Ok(ToWorker::Run {
-                task,
-                bench,
-                shard,
-                config,
-                weaken,
-            }) => {
-                let reply = execute_run(task, bench, shard, config, weaken, &opts.worker, &current);
-                if !send(&reply) {
-                    break ServeEnd::Disconnected { attached: true };
-                }
-            }
-            Ok(ToWorker::Exit) => break ServeEnd::Exit,
-            Err(e) => {
-                eprintln!("cdsspec-campaign worker: bad daemon message: {e}");
-                break ServeEnd::Disconnected { attached: true };
-            }
-        }
-    };
-    stop.store(true, Ordering::Relaxed);
-    let _ = reader.shutdown(std::net::Shutdown::Both);
-    let _ = hb.join();
-    end
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frames_round_trip_over_a_cursor() {
-        for payload in ["", "x", "{\"msg\":\"hello\",\"pid\":1}", "π — non-ascii"] {
-            let bytes = frame_bytes(payload);
-            let mut cursor = std::io::Cursor::new(bytes);
-            assert_eq!(read_frame(&mut cursor).unwrap(), payload);
-            assert!(matches!(read_frame(&mut cursor), Err(FrameError::Closed)));
-        }
-    }
-
-    #[test]
-    fn corrupt_frames_are_rejected_not_misparsed() {
-        let mut bytes = frame_bytes("{\"msg\":\"heartbeat\",\"task\":4}");
-        // Flip a payload bit: CRC must catch it.
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(FrameError::Corrupt(_))
-        ));
-
-        // Truncated payload.
-        let mut bytes = frame_bytes("hello");
-        bytes.truncate(bytes.len() - 2);
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(FrameError::Corrupt(_))
-        ));
-
-        // Truncated header.
-        let mut cursor = std::io::Cursor::new(vec![0u8; 5]);
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(FrameError::Corrupt(_))
-        ));
-
-        // Oversized length word.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(u32::MAX).to_be_bytes());
-        bytes.extend_from_slice(&[0u8; 4]);
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert!(matches!(
-            read_frame(&mut cursor),
-            Err(FrameError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn splitter_reassembles_across_arbitrary_chunks() {
-        let payloads = ["first", "", "third with spaces"];
-        let mut stream = Vec::new();
-        for p in payloads {
-            stream.extend_from_slice(&frame_bytes(p));
-        }
-        // Push one byte at a time: worst-case fragmentation.
-        let mut splitter = FrameSplitter::new();
-        let mut got = Vec::new();
-        for b in stream {
-            splitter.push(&[b]);
-            while let Some(p) = splitter.next_frame().unwrap() {
-                got.push(p);
-            }
-        }
-        assert_eq!(got, payloads);
-        assert_eq!(splitter.pending(), 0);
-    }
 
     #[test]
     fn hello_and_reply_round_trip() {

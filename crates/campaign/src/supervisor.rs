@@ -16,8 +16,10 @@
 //!   [`crate::lease::MAX_REQUEUE_BACKOFF`]).
 //! - A worker death (crash, chaos kill, kill -9 from outside, TCP
 //!   disconnect) surfaces as EOF on its link; its leased shard requeues
-//!   the same way. Partial output is discarded wholesale — only
-//!   complete, checksummed `result` lines ever reach the merge — so a
+//!   the same way. Both links carry the same CRC-checked
+//!   [`crate::frame`] frames, and a frame that fails its check ends the
+//!   link like a death. Partial output is discarded wholesale — only
+//!   complete, checksummed `Result` frames ever reach the merge — so a
 //!   rerun is byte-identical to an undisturbed run.
 //! - A shard that keeps killing workers quarantines after
 //!   `max_attempts` dispatches (reported as *suspect*), and a slot that
@@ -37,12 +39,12 @@
 //! healthy shard. CI uses it to prove kill-tolerance by diffing a chaos
 //! campaign against an in-process run.
 
+use crate::frame::{read_frame, write_frame};
 use crate::lease::{FailOutcome, TaskTable};
 use crate::proto::{FromWorker, ToWorker};
 use cdsspec_mc::{Config, Stats};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::io::{BufRead, BufReader, Write};
-use std::path::PathBuf;
+use std::io::Read;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -52,8 +54,6 @@ use std::time::{Duration, Instant};
 pub struct SupervisorOpts {
     /// Worker link slots (subprocesses or attached remote workers).
     pub workers: usize,
-    /// Explorer threads inside each worker.
-    pub worker_threads: usize,
     /// Lease duration granted per dispatch/heartbeat.
     pub lease: Duration,
     /// Heartbeat interval workers are asked to use.
@@ -68,11 +68,6 @@ pub struct SupervisorOpts {
     /// Forwarded to workers: benchmark name on which to `abort()`
     /// (fault-injection of a poison shard).
     pub poison: Option<String>,
-    /// Ordering sites every dispatched task weakens before checking
-    /// (Figure 8-style fault injection; empty = default orderings).
-    pub weaken: Vec<usize>,
-    /// Worker executable; `None` = `std::env::current_exe()`.
-    pub worker_exe: Option<PathBuf>,
     /// How long the whole pool may sit with zero live links and zero
     /// retired slots (a transport with no workers attached yet) before
     /// the batch is abandoned as resumable. Subprocess transports spawn
@@ -86,15 +81,12 @@ impl Default for SupervisorOpts {
     fn default() -> Self {
         SupervisorOpts {
             workers: 2,
-            worker_threads: 1,
             lease: Duration::from_secs(30),
             heartbeat: Duration::from_millis(500),
             max_attempts: 3,
             chaos_kill_pct: 0,
             chaos_seed: 0,
             poison: None,
-            weaken: Vec::new(),
-            worker_exe: None,
             attach_timeout: Duration::from_secs(30),
         }
     }
@@ -139,12 +131,12 @@ pub struct SlotStats {
     pub completed: u64,
 }
 
-/// One transport event: a complete protocol line from a worker link,
-/// or the link's death. Tagged with the slot index and the provision
-/// epoch so output from a revoked incarnation can be dropped.
+/// One transport event: a complete frame from a worker link, or the
+/// link's death. Tagged with the slot index and the provision epoch so
+/// output from a revoked incarnation can be dropped.
 pub enum Event {
-    /// One complete NDJSON line from the link on `(slot, epoch)`.
-    Line(usize, u64, String),
+    /// One complete frame's payload from the link on `(slot, epoch)`.
+    Frame(usize, u64, String),
     /// The link on `(slot, epoch)` died (EOF / socket close).
     Eof(usize, u64),
 }
@@ -164,8 +156,8 @@ pub enum Provision {
 
 /// A live bidirectional channel to one worker.
 ///
-/// Implementations must have delivered every incoming protocol line as
-/// [`Event::Line`] and exactly one [`Event::Eof`] on the channel given
+/// Implementations must have delivered every incoming frame as
+/// [`Event::Frame`] and exactly one [`Event::Eof`] on the channel given
 /// to [`Transport::provision`], tagged with that provision's
 /// `(slot, epoch)`.
 pub trait WorkerLink: Send {
@@ -186,7 +178,7 @@ pub trait WorkerLink: Send {
 /// connections); the supervisor owns every scheduling decision.
 pub trait Transport: Send {
     /// Try to produce a link for `slot`. The transport must arrange for
-    /// the link's incoming lines and eventual EOF to arrive on `tx`
+    /// the link's incoming frames and eventual EOF to arrive on `tx`
     /// tagged `(slot, epoch)`.
     fn provision(&mut self, slot: usize, epoch: u64, tx: &mpsc::Sender<Event>) -> Provision;
 }
@@ -239,21 +231,10 @@ impl Supervisor {
     /// Event-loop poll interval (bounds lease-expiry detection latency).
     const POLL: Duration = Duration::from_millis(25);
 
-    /// A pool with `opts.workers` empty slots over the default
-    /// subprocess transport (workers spawn lazily on first dispatch).
-    pub fn new(opts: SupervisorOpts) -> Supervisor {
-        let transport = SubprocessTransport {
-            worker_exe: opts.worker_exe.clone(),
-            heartbeat: opts.heartbeat,
-            worker_threads: opts.worker_threads,
-            poison: opts.poison.clone(),
-        };
-        Supervisor::with_transport(opts, Box::new(transport))
-    }
-
-    /// A pool with `opts.workers` empty slots over an arbitrary
-    /// transport (the networked daemon passes its attach registry).
-    pub fn with_transport(opts: SupervisorOpts, transport: Box<dyn Transport>) -> Supervisor {
+    /// A pool with `opts.workers` empty slots over `transport` (local
+    /// subprocesses, or the networked daemon's attach registry). Links
+    /// are provisioned lazily on first dispatch.
+    pub fn new(opts: SupervisorOpts, transport: Box<dyn Transport>) -> Supervisor {
         let (tx, rx) = mpsc::channel();
         let now = Instant::now();
         let slots = (0..opts.workers.max(1))
@@ -287,10 +268,12 @@ impl Supervisor {
     /// Drive `table` until every task is terminal (`Done`, `Quarantined`,
     /// or — if the whole pool dies — abandoned). `on_complete` fires once
     /// per completed task, in completion order, before the task is
-    /// considered durable (the campaign journals there).
+    /// considered durable (the campaign journals there). Every task
+    /// weakens the ordering sites in `weaken` before checking.
     pub fn run_batch(
         &mut self,
         base_config: &Config,
+        weaken: &[usize],
         table: &mut TaskTable,
         mut on_complete: impl FnMut(usize, &Stats),
     ) {
@@ -319,7 +302,7 @@ impl Supervisor {
                 let Some(slot) = self.idle_slot(table) else {
                     break;
                 };
-                self.dispatch(id, slot, base_config, table, now);
+                self.dispatch(id, slot, base_config, weaken, table, now);
             }
 
             if self.slots.iter().all(|s| s.dead) {
@@ -378,6 +361,7 @@ impl Supervisor {
         id: usize,
         slot: usize,
         base_config: &Config,
+        weaken: &[usize],
         table: &mut TaskTable,
         now: Instant,
     ) {
@@ -391,7 +375,7 @@ impl Supervisor {
             bench: spec.bench,
             shard: spec.shard,
             config,
-            weaken: self.opts.weaken.clone(),
+            weaken: weaken.to_vec(),
         };
         let sent = match &mut self.slots[slot].link {
             Some(link) => link.send(&msg),
@@ -485,12 +469,11 @@ impl Supervisor {
     ) {
         let now = Instant::now();
         match ev {
-            Event::Line(slot, epoch, line) => {
+            Event::Frame(slot, epoch, payload) => {
                 if self.slots[slot].epoch != epoch {
                     return; // output of a revoked/killed incarnation
                 }
-                match FromWorker::decode(&line) {
-                    Ok(FromWorker::Hello { .. }) => {}
+                match FromWorker::decode(&payload) {
                     Ok(FromWorker::Heartbeat { .. }) => {
                         table.extend(slot, now);
                     }
@@ -537,23 +520,21 @@ impl Drop for Supervisor {
     }
 }
 
-/// The classic transport: spawn the campaign binary with
-/// `--worker-mode` and speak NDJSON over its stdin/stdout.
-struct SubprocessTransport {
-    worker_exe: Option<PathBuf>,
-    heartbeat: Duration,
-    worker_threads: usize,
-    poison: Option<String>,
+/// The local transport: spawn this binary with `--worker-mode` and
+/// exchange frames over its stdin/stdout.
+pub(crate) struct SubprocessTransport {
+    /// Forwarded as `--heartbeat-ms`.
+    pub(crate) heartbeat: Duration,
+    /// Forwarded as `--worker-threads`.
+    pub(crate) worker_threads: usize,
+    /// Forwarded as `--poison`.
+    pub(crate) poison: Option<String>,
 }
 
 impl Transport for SubprocessTransport {
     fn provision(&mut self, slot: usize, epoch: u64, tx: &mpsc::Sender<Event>) -> Provision {
-        let exe = match &self.worker_exe {
-            Some(p) => p.clone(),
-            None => match std::env::current_exe() {
-                Ok(p) => p,
-                Err(_) => return Provision::Failed,
-            },
+        let Ok(exe) = std::env::current_exe() else {
+            return Provision::Failed;
         };
         let mut cmd = Command::new(exe);
         cmd.arg("--worker-mode")
@@ -574,24 +555,23 @@ impl Transport for SubprocessTransport {
         let stdin = child.stdin.take().expect("piped stdin");
         let stdout = child.stdout.take().expect("piped stdout");
         let tx = tx.clone();
-        std::thread::spawn(move || {
-            let reader = BufReader::new(stdout);
-            for line in reader.lines() {
-                match line {
-                    Ok(l) => {
-                        if tx.send(Event::Line(slot, epoch, l)).is_err() {
-                            return;
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
-            let _ = tx.send(Event::Eof(slot, epoch));
-        });
+        std::thread::spawn(move || forward_frames(stdout, slot, epoch, &tx));
         Provision::Link(Box::new(SubprocessLink {
             child: Some((child, Some(stdin))),
         }))
     }
+}
+
+/// Forward every frame read from a worker's output as [`Event::Frame`],
+/// then one [`Event::Eof`] when the stream ends *or fails its frame
+/// check* — a corrupt frame is a dead worker.
+fn forward_frames(mut reader: impl Read, slot: usize, epoch: u64, tx: &mpsc::Sender<Event>) {
+    while let Ok(payload) = read_frame(&mut reader) {
+        if tx.send(Event::Frame(slot, epoch, payload)).is_err() {
+            return;
+        }
+    }
+    let _ = tx.send(Event::Eof(slot, epoch));
 }
 
 struct SubprocessLink {
@@ -601,7 +581,7 @@ struct SubprocessLink {
 impl WorkerLink for SubprocessLink {
     fn send(&mut self, msg: &ToWorker) -> bool {
         match &mut self.child {
-            Some((_, Some(stdin))) => writeln!(stdin, "{}", msg.encode()).is_ok(),
+            Some((_, Some(stdin))) => write_frame(stdin, &msg.encode()).is_ok(),
             _ => false,
         }
     }
@@ -617,7 +597,7 @@ impl WorkerLink for SubprocessLink {
     fn release(mut self: Box<Self>) {
         if let Some((_, stdin)) = &mut self.child {
             if let Some(stdin) = stdin {
-                let _ = writeln!(stdin, "{}", ToWorker::Exit.encode());
+                let _ = write_frame(stdin, &ToWorker::Exit.encode());
             }
             *stdin = None; // EOF backstop in case the Exit write raced
         }
@@ -630,5 +610,30 @@ impl WorkerLink for SubprocessLink {
 impl Drop for SubprocessLink {
     fn drop(&mut self) {
         self.kill();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::frame_bytes;
+    use std::io::Cursor;
+
+    #[test]
+    fn a_corrupt_frame_from_a_worker_reads_as_its_death() {
+        let good = FromWorker::Heartbeat { task: 3 }.encode();
+        let mut bad = frame_bytes(&FromWorker::Heartbeat { task: 4 }.encode());
+        *bad.last_mut().unwrap() ^= 0x01;
+        let after = frame_bytes(&FromWorker::Heartbeat { task: 5 }.encode());
+        let stream = [frame_bytes(&good), bad, after].concat();
+
+        let (tx, rx) = mpsc::channel();
+        forward_frames(Cursor::new(stream), 1, 9, &tx);
+        drop(tx);
+        let events: Vec<Event> = rx.iter().collect();
+        match events.as_slice() {
+            [Event::Frame(1, 9, payload), Event::Eof(1, 9)] => assert_eq!(*payload, good),
+            _ => panic!("expected one frame then EOF, got {} event(s)", events.len()),
+        }
     }
 }

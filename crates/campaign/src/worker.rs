@@ -1,24 +1,28 @@
-//! The worker-mode loop: what `cdsspec-campaign --worker-mode` runs.
+//! The worker loop: what a `cdsspec-campaign --worker-mode` subprocess
+//! runs on its stdin/stdout, and what a `--attach` worker runs on its
+//! socket once the daemon has welcomed it.
 //!
 //! A worker is a thin, *stateless* shell around the in-process explorer:
-//! read one `run` line, execute that shard through the benchmark
-//! registry's ordinary `check` entry point, write one `result` line,
-//! repeat. All state lives in the supervisor; a worker can be SIGKILLed
-//! at any instant and the campaign loses nothing but the in-flight
-//! shard's CPU time.
+//! read one `Run` frame, execute that shard through the benchmark
+//! registry's ordinary `check` entry point, write one `Result` (or
+//! `Error`) frame, repeat. All state lives in the supervisor; a worker
+//! can be SIGKILLed at any instant and the campaign loses nothing but
+//! the in-flight shard's CPU time.
 //!
-//! A background thread heartbeats the currently-running task id so the
-//! supervisor keeps extending the lease of a long exploration. Output is
-//! serialized under one mutex — heartbeats can never split a result line.
+//! A heartbeat thread reports the running task id so the supervisor
+//! keeps extending the lease of a long exploration. Writes share one
+//! mutex, so a heartbeat can never split a reply frame.
 
+use crate::frame::{read_frame, write_frame, FrameError};
 use crate::proto::{FromWorker, ToWorker};
 use cdsspec_mc::{Config, ShardSpec};
-use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::io::{Read, Write};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
-/// Worker-mode settings (decoded from `--worker-mode` flags).
+/// Worker settings (the CLI fills them from `--heartbeat-ms`,
+/// `--worker-threads` and `--poison`).
 #[derive(Clone, Debug)]
 pub struct WorkerOpts {
     /// Heartbeat interval.
@@ -31,16 +35,14 @@ pub struct WorkerOpts {
 }
 
 /// Sentinel meaning "no task running" in the heartbeat cell.
-pub(crate) const IDLE: u64 = u64::MAX;
+const IDLE: u64 = u64::MAX;
 
 /// Execute one `Run` dispatch end to end: poison check, registry
 /// lookup, ordering weakening, exploration, panic containment. Returns
 /// exactly one reply (`Result` or `Error`). `current` is the heartbeat
 /// cell, set to `task` for the duration of the check so the heartbeat
-/// thread keeps the supervisor's lease alive. Shared by the stdio
-/// worker loop and the TCP attach worker — the transports differ, the
-/// task semantics must not.
-pub(crate) fn execute_run(
+/// thread keeps the supervisor's lease alive.
+fn execute_run(
     task: u64,
     bench: String,
     shard: ShardSpec,
@@ -96,61 +98,147 @@ pub(crate) fn execute_run(
     }
 }
 
-fn send(lock: &Mutex<()>, msg: &FromWorker) {
-    let _guard = lock.lock().unwrap_or_else(|p| p.into_inner());
-    let mut out = std::io::stdout().lock();
-    let _ = writeln!(out, "{}", msg.encode());
-    let _ = out.flush();
-}
-
-/// Run the worker loop until `exit` or stdin EOF. Returns the process
-/// exit code.
-pub fn worker_main(opts: WorkerOpts) -> i32 {
-    let out_lock = Arc::new(Mutex::new(()));
-    send(
-        &out_lock,
-        &FromWorker::Hello {
-            pid: std::process::id(),
-        },
-    );
-
-    let current = Arc::new(AtomicU64::new(IDLE));
-    {
-        let current = Arc::clone(&current);
-        let out_lock = Arc::clone(&out_lock);
-        let interval = opts.heartbeat;
-        std::thread::spawn(move || loop {
-            std::thread::sleep(interval);
-            let task = current.load(Ordering::Relaxed);
-            if task != IDLE {
-                send(&out_lock, &FromWorker::Heartbeat { task });
+/// Serve dispatches from `reader`, replying on `writer`, until the peer
+/// sends `Exit` (`Ok`), the stream ends (`Err(FrameError::Closed)`), or
+/// anything fails: a corrupt frame, an undecodable message or a failed
+/// reply write. A failure ends the loop with no further reply — the
+/// supervisor sees a dead link and requeues the lease.
+pub fn serve(
+    mut reader: impl Read,
+    writer: impl Write + Send,
+    opts: &WorkerOpts,
+) -> Result<(), FrameError> {
+    let writer = Mutex::new(writer);
+    let send = |msg: &FromWorker| {
+        let mut w = writer.lock().unwrap_or_else(|p| p.into_inner());
+        write_frame(&mut *w, &msg.encode())
+    };
+    let current = AtomicU64::new(IDLE);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let heartbeat = s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                std::thread::park_timeout(opts.heartbeat);
+                let task = current.load(Ordering::Relaxed);
+                if task != IDLE {
+                    // A dead link shows up in the loop below; nothing to
+                    // do about it here.
+                    let _ = send(&FromWorker::Heartbeat { task });
+                }
             }
         });
+        let end = loop {
+            let msg = read_frame(&mut reader).and_then(|payload| {
+                ToWorker::decode(&payload)
+                    .map_err(|e| FrameError::Corrupt(format!("bad message: {e}")))
+            });
+            match msg {
+                Ok(ToWorker::Run {
+                    task,
+                    bench,
+                    shard,
+                    config,
+                    weaken,
+                }) => {
+                    let reply = execute_run(task, bench, shard, config, weaken, opts, &current);
+                    if let Err(e) = send(&reply) {
+                        break Err(FrameError::Io(e));
+                    }
+                }
+                Ok(ToWorker::Exit) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        stop.store(true, Ordering::Relaxed);
+        heartbeat.thread().unpark();
+        end
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::frame_bytes;
+    use std::io::Cursor;
+
+    fn opts() -> WorkerOpts {
+        WorkerOpts {
+            heartbeat: Duration::from_secs(3600),
+            worker_threads: 1,
+            poison: None,
+        }
     }
 
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match ToWorker::decode(&line) {
-            Ok(ToWorker::Run {
-                task,
-                bench,
-                shard,
-                config,
-                weaken,
-            }) => {
-                let reply = execute_run(task, bench, shard, config, weaken, &opts, &current);
-                send(&out_lock, &reply);
-            }
-            Ok(ToWorker::Exit) => return 0,
-            Err(e) => {
-                eprintln!("cdsspec-campaign worker: bad supervisor message: {e}");
-                return 1;
+    fn run(task: u64) -> Vec<u8> {
+        let msg = ToWorker::Run {
+            task,
+            bench: "SPSC Queue".into(),
+            shard: ShardSpec::root(),
+            config: Config {
+                max_executions: 3,
+                ..Config::default()
+            },
+            weaken: Vec::new(),
+        };
+        frame_bytes(&msg.encode())
+    }
+
+    fn exit() -> Vec<u8> {
+        frame_bytes(&ToWorker::Exit.encode())
+    }
+
+    /// Every reply frame `serve` wrote, in order.
+    fn replies(out: &[u8]) -> Vec<FromWorker> {
+        let mut cursor = Cursor::new(out);
+        let mut got = Vec::new();
+        loop {
+            match read_frame(&mut cursor) {
+                Ok(payload) => got.push(FromWorker::decode(&payload).unwrap()),
+                Err(FrameError::Closed) => return got,
+                Err(e) => panic!("serve wrote a bad frame: {e}"),
             }
         }
     }
-    0
+
+    #[test]
+    fn one_run_yields_exactly_one_result() {
+        let input = [run(7), exit()].concat();
+        let mut out = Vec::new();
+        serve(Cursor::new(input), &mut out, &opts()).expect("ends on exit");
+        match replies(&out).as_slice() {
+            [FromWorker::Result { task: 7, stats }] => assert_eq!(stats.executions, 3),
+            other => panic!("expected one result for task 7, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn exit_stops_the_loop_before_later_frames() {
+        let input = [exit(), run(1)].concat();
+        let mut out = Vec::new();
+        serve(Cursor::new(input), &mut out, &opts()).expect("ends on exit");
+        assert!(out.is_empty(), "nothing after exit may run");
+
+        // End of input without an exit is a clean close, not a failure.
+        let mut out = Vec::new();
+        let end = serve(Cursor::new(Vec::new()), &mut out, &opts());
+        assert!(matches!(end, Err(FrameError::Closed)), "{end:?}");
+    }
+
+    #[test]
+    fn corrupt_frame_stops_the_loop_with_no_reply() {
+        let mut bad = run(1);
+        *bad.last_mut().unwrap() ^= 0x01;
+        let input = [bad, run(2), exit()].concat();
+        let mut out = Vec::new();
+        let end = serve(Cursor::new(input), &mut out, &opts());
+        assert!(matches!(end, Err(FrameError::Corrupt(_))), "{end:?}");
+        assert!(out.is_empty(), "a corrupt stream gets no reply");
+
+        // A sound frame whose payload is not a message is just as fatal.
+        let input = [frame_bytes("{\"msg\":\"hello\"}"), run(2)].concat();
+        let mut out = Vec::new();
+        let end = serve(Cursor::new(input), &mut out, &opts());
+        assert!(matches!(end, Err(FrameError::Corrupt(_))), "{end:?}");
+        assert!(out.is_empty());
+    }
 }

@@ -11,14 +11,20 @@
 //! couple of seconds — long enough to reliably `kill -9` a remote
 //! worker mid-shard.
 
+use cdsspec_campaign::frame::{read_frame, write_frame};
 use cdsspec_campaign::net::{
-    read_frame, registry_hash, request_status, write_frame, NetHello, NetReply, PROTO_VERSION,
+    attach_worker, registry_hash, remote_campaign, request_status, NetHello, NetReply,
+    PROTO_VERSION,
 };
-use cdsspec_campaign::{AttachOpts, WorkerOpts, EXIT_CLEAN, EXIT_ERROR};
+use cdsspec_campaign::{
+    run_daemon_on, AttachOpts, CampaignRequest, DaemonOpts, SupervisorOpts, WorkerOpts, EXIT_CLEAN,
+    EXIT_ERROR,
+};
 use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_cdsspec-campaign");
@@ -209,9 +215,9 @@ fn tcp_remote_report_matches_in_process_bytes() {
     assert_eq!(field_u64(&stderr(&remote), "benches"), 3);
 
     assert_eq!(daemon.wait_exit(Duration::from_secs(10)), 0);
-    // Workers notice the daemon is gone and exit 0 (they had attached).
-    assert_eq!(wait_code(w1, Duration::from_secs(15)), 0);
-    assert_eq!(wait_code(w2, Duration::from_secs(15)), 0);
+    // The stopping daemon sends each idle worker `Exit`: both exit 0.
+    assert_eq!(wait_code(w1, Duration::from_secs(5)), 0);
+    assert_eq!(wait_code(w2, Duration::from_secs(5)), 0);
 }
 
 /// A second identical campaign against a warm daemon is answered
@@ -268,7 +274,7 @@ fn warm_daemon_answers_repeat_campaign_from_cache() {
     assert_eq!(field_u64(&err, "live"), 0);
 
     assert_eq!(daemon.wait_exit(Duration::from_secs(10)), 0);
-    assert_eq!(wait_code(worker, Duration::from_secs(15)), 0);
+    assert_eq!(wait_code(worker, Duration::from_secs(5)), 0);
 }
 
 /// `kill -9` on a remote worker mid-campaign: its socket dies, the
@@ -302,11 +308,30 @@ fn kill9_remote_worker_mid_run_is_invisible() {
     let survivor = attach(&daemon.addr, 1500);
     await_workers(&daemon.addr, 2);
 
-    let victim_pid = victim.id();
+    // Both workers show as busy only while a campaign holds them, so
+    // once both are busy the campaign has started and cannot finish
+    // without them. Freeze both with SIGSTOP, kill the victim cold, and
+    // let the survivor carry on: the kill lands mid-run however fast
+    // the build is.
+    let (victim_pid, survivor_pid) = (victim.id() as i32, survivor.id() as i32);
+    let addr = daemon.addr.clone();
     let killer = std::thread::spawn(move || {
-        // Let the campaign get dispatched, then kill one worker cold.
-        std::thread::sleep(Duration::from_millis(600));
-        unsafe { libc_kill(victim_pid as i32, 9) };
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            if let Ok(status) = request_status(&addr) {
+                if status.workers.iter().filter(|w| w.busy).count() == 2 {
+                    break;
+                }
+            }
+            assert!(Instant::now() < deadline, "workers never both busy");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        unsafe {
+            libc_kill(victim_pid, SIGSTOP);
+            libc_kill(survivor_pid, SIGSTOP);
+            libc_kill(victim_pid, SIGKILL);
+            libc_kill(survivor_pid, SIGCONT);
+        }
     });
     let remote = campaign(&[
         "--connect",
@@ -325,19 +350,85 @@ fn kill9_remote_worker_mid_run_is_invisible() {
         stdout(&base),
         "a killed remote worker changed report bytes"
     );
+    let err = stderr(&remote);
+    assert!(
+        field_u64(&err, "worker_deaths") >= 1,
+        "no death seen:\n{err}"
+    );
 
     assert_eq!(daemon.wait_exit(Duration::from_secs(10)), 0);
     let mut victim = victim;
     let status = victim.wait().expect("reap killed worker");
     assert!(!status.success(), "the victim really was killed");
-    assert_eq!(wait_code(survivor, Duration::from_secs(15)), 0);
+    assert_eq!(wait_code(survivor, Duration::from_secs(5)), 0);
 }
 
 // Minimal FFI shim: the test only needs kill(2) and libc isn't a
-// workspace dependency.
+// workspace dependency. Signal numbers are the x86_64 Linux ones.
 extern "C" {
     #[link_name = "kill"]
     fn libc_kill(pid: i32, sig: i32) -> i32;
+}
+const SIGKILL: i32 = 9;
+const SIGCONT: i32 = 18;
+const SIGSTOP: i32 = 19;
+
+/// A daemon that reaches `max_campaigns` releases its attached workers:
+/// each gets `Exit` and `attach_worker` returns 0 at once, instead of
+/// blocking on an idle connection nobody will use again (their
+/// reconnect budget is longer than the wait, so only the `Exit` can end
+/// them in time).
+#[test]
+fn finished_daemon_releases_its_attached_workers() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let opts = DaemonOpts {
+        listen: addr.clone(),
+        cache_dir: None,
+        sup: SupervisorOpts {
+            workers: 2,
+            ..SupervisorOpts::default()
+        },
+        max_campaigns: Some(1),
+    };
+    let daemon = std::thread::spawn(move || run_daemon_on(listener, opts));
+    let (done, exits) = mpsc::channel();
+    for _ in 0..2 {
+        let opts = AttachOpts {
+            addr: addr.clone(),
+            worker: WorkerOpts {
+                heartbeat: Duration::from_millis(500),
+                worker_threads: 1,
+                poison: None,
+            },
+            reconnect_budget: Duration::from_secs(30),
+        };
+        let done = done.clone();
+        std::thread::spawn(move || done.send(attach_worker(&opts)));
+    }
+    await_workers(&addr, 2);
+
+    let req = CampaignRequest {
+        bench_filter: Some(vec!["SPSC Queue".into()]),
+        split: 0,
+        max_executions: 1_000_000,
+        stable: true,
+        weaken: Vec::new(),
+    };
+    let mut report = Vec::new();
+    let (code, _) = remote_campaign(&addr, &req, &mut report).expect("campaign served");
+    assert_eq!(code, EXIT_CLEAN);
+    assert_eq!(daemon.join().unwrap(), Ok(0));
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    for _ in 0..2 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        assert_eq!(
+            exits.recv_timeout(left),
+            Ok(0),
+            "an attached worker outlived its daemon"
+        );
+    }
 }
 
 /// Handshake guards: a wrong protocol version and a wrong registry hash
@@ -366,7 +457,7 @@ fn handshake_mismatches_are_rejected() {
     let hello = NetHello::Campaign {
         proto: PROTO_VERSION,
         registry: registry_hash() ^ 1,
-        req: cdsspec_campaign::CampaignRequest {
+        req: CampaignRequest {
             bench_filter: None,
             split: 0,
             max_executions: 1,
@@ -396,7 +487,7 @@ fn handshake_mismatches_are_rejected() {
             .encode(),
         );
     });
-    let code = cdsspec_campaign::net::attach_worker(&AttachOpts {
+    let code = attach_worker(&AttachOpts {
         addr: fake_addr,
         worker: WorkerOpts {
             heartbeat: Duration::from_millis(500),

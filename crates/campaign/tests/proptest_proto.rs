@@ -1,21 +1,22 @@
-//! Property tests for the networked wire: arbitrary supervisor/worker
+//! Property tests for the campaign wire: arbitrary supervisor/worker
 //! protocol messages survive encode → frame → arbitrary re-chunking →
 //! decode **identically**, and corrupted or truncated frames are always
 //! rejected as a framing error (worker death at the transport layer) —
 //! never silently misparsed into a different message.
 //!
-//! The framing under test is `crates/campaign/src/net.rs`:
-//! `[len: u32 BE][crc32(payload): u32 BE][payload]`. The CRC covers the
+//! The framing under test is `crates/campaign/src/frame.rs`, the one
+//! codec of the pipe, the socket and the journal:
+//! `[len: u32 LE][crc32(payload): u32 LE][payload]`. The CRC covers the
 //! payload, so any payload flip is caught directly; header flips either
 //! desynchronize the length (truncated/oversize ⇒ `Corrupt`) or corrupt
 //! the stored CRC (mismatch ⇒ `Corrupt`). These tests pin that argument
 //! against real random damage rather than trusting it.
 
-use cdsspec_campaign::net::{frame_bytes, read_frame, FrameSplitter};
+use cdsspec_campaign::frame::{frame_bytes, read_frame, FrameError};
 use cdsspec_campaign::proto::{FromWorker, ToWorker};
 use cdsspec_mc::{Bug, BugCategory, Config, FoundBug, ShardSpec, Stats, StopReason};
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::io::Read;
 use std::time::Duration;
 
 /// Strings chosen to stress the JSON escaper inside the framed payload:
@@ -160,7 +161,6 @@ fn to_worker_strategy() -> impl Strategy<Value = ToWorker> {
 
 fn from_worker_strategy() -> impl Strategy<Value = FromWorker> {
     prop_oneof![
-        (any::<u32>()).prop_map(|pid| FromWorker::Hello { pid }),
         (any::<u64>()).prop_map(|task| FromWorker::Heartbeat { task }),
         (any::<u64>(), stats_strategy())
             .prop_map(|(task, stats)| FromWorker::Result { task, stats }),
@@ -177,58 +177,68 @@ fn line_strategy() -> impl Strategy<Value = String> {
     ]
 }
 
-/// Split `bytes` into consecutive chunks whose sizes cycle through
-/// `sizes` (1-byte chunks when empty).
-fn chunked<'a>(bytes: &'a [u8], sizes: &'a [usize]) -> Vec<&'a [u8]> {
-    let mut out = Vec::new();
-    let mut at = 0;
-    let mut i = 0;
-    while at < bytes.len() {
-        let want = if sizes.is_empty() {
+/// A reader that hands out `bytes` in consecutive chunks whose sizes
+/// cycle through `sizes` (1-byte chunks when empty) — a pipe or socket
+/// delivering a stream in arbitrary pieces.
+struct Chunked<'a> {
+    bytes: &'a [u8],
+    sizes: &'a [usize],
+    reads: usize,
+}
+
+impl<'a> Chunked<'a> {
+    fn new(bytes: &'a [u8], sizes: &'a [usize]) -> Self {
+        Chunked {
+            bytes,
+            sizes,
+            reads: 0,
+        }
+    }
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let want = if self.sizes.is_empty() {
             1
         } else {
-            sizes[i % sizes.len()].max(1)
+            self.sizes[self.reads % self.sizes.len()].max(1)
         };
-        let end = (at + want).min(bytes.len());
-        out.push(&bytes[at..end]);
-        at = end;
-        i += 1;
+        let n = want.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        self.reads += 1;
+        Ok(n)
     }
-    out
 }
 
 proptest! {
     /// encode → frame → arbitrary re-chunking → decode is the identity,
     /// for any protocol message in either direction. Decoding is pinned
     /// by the encode-fixpoint: the re-decoded message re-encodes to the
-    /// byte-identical line, so no field was lost or altered in transit.
+    /// byte-identical payload, so no field was lost or altered in transit.
     #[test]
     fn any_message_survives_framing_and_rechunking(
         line in line_strategy(),
         sizes in prop::collection::vec(1usize..64, 0..8),
     ) {
         let bytes = frame_bytes(&line);
-        let mut splitter = FrameSplitter::new();
-        let mut got = Vec::new();
-        for chunk in chunked(&bytes, &sizes) {
-            splitter.push(chunk);
-            while let Some(out) = splitter.next_frame().expect("clean frame") {
-                got.push(out);
-            }
-        }
-        prop_assert_eq!(got.len(), 1, "exactly one frame comes out");
-        prop_assert_eq!(&got[0], &line, "payload survives verbatim");
-        prop_assert_eq!(splitter.pending(), 0, "no residue after a whole frame");
+        let mut reader = Chunked::new(&bytes, &sizes);
+        let got = read_frame(&mut reader).expect("clean frame");
+        prop_assert_eq!(&got, &line, "payload survives verbatim");
+        prop_assert!(
+            matches!(read_frame(&mut reader), Err(FrameError::Closed)),
+            "no residue after a whole frame"
+        );
 
         // The payload decodes back to a message that re-encodes to the
-        // same line (works for both directions; try both decoders).
-        let fixpoint = ToWorker::decode(&got[0]).map(|m| m.encode())
-            .or_else(|_| FromWorker::decode(&got[0]).map(|m| m.encode()));
+        // same payload (works for both directions; try both decoders).
+        let fixpoint = ToWorker::decode(&got).map(|m| m.encode())
+            .or_else(|_| FromWorker::decode(&got).map(|m| m.encode()));
         prop_assert_eq!(fixpoint.as_deref(), Ok(line.as_str()));
     }
 
     /// A stream of several frames re-chunked arbitrarily comes out as
-    /// exactly those payloads, in order.
+    /// exactly those payloads, in order, then a clean close.
     #[test]
     fn frame_streams_preserve_order(
         lines in prop::collection::vec(line_strategy(), 1..5),
@@ -238,19 +248,19 @@ proptest! {
         for line in &lines {
             bytes.extend_from_slice(&frame_bytes(line));
         }
-        let mut splitter = FrameSplitter::new();
+        let mut reader = Chunked::new(&bytes, &sizes);
         let mut got = Vec::new();
-        for chunk in chunked(&bytes, &sizes) {
-            splitter.push(chunk);
-            while let Some(out) = splitter.next_frame().expect("clean frames") {
-                got.push(out);
+        let end = loop {
+            match read_frame(&mut reader) {
+                Ok(payload) => got.push(payload),
+                Err(e) => break e,
             }
-        }
+        };
+        prop_assert!(matches!(end, FrameError::Closed), "clean end: {end:?}");
         prop_assert_eq!(got, lines);
-        prop_assert_eq!(splitter.pending(), 0);
     }
 
-    /// Flip any single byte of a framed message: the reader must either
+    /// Flip any single bit of a framed message: the reader must either
     /// reject the frame (worker death) or — never — hand back a payload
     /// different from the original. A flip can land in the length, the
     /// CRC, or the payload; all three must be caught.
@@ -259,11 +269,12 @@ proptest! {
         line in line_strategy(),
         flip_at in any::<usize>(),
         flip_bit in 0u8..8,
+        sizes in prop::collection::vec(1usize..64, 0..8),
     ) {
         let mut bytes = frame_bytes(&line);
         let at = flip_at % bytes.len();
         bytes[at] ^= 1 << flip_bit;
-        match read_frame(&mut Cursor::new(&bytes)) {
+        match read_frame(&mut Chunked::new(&bytes, &sizes)) {
             Err(_) => {} // rejected: the supervisor treats this as death
             Ok(out) => prop_assert_eq!(
                 out, line,
@@ -273,30 +284,21 @@ proptest! {
     }
 
     /// Truncate a framed message at any strictly-shorter length: the
-    /// reader must reject it (clean close mid-frame is still death for
-    /// the in-flight lease), never return a payload.
+    /// reader must reject it, never return a payload. Only the empty
+    /// prefix is a clean close; any other cut is corruption (a close
+    /// mid-frame is still death for the in-flight lease).
     #[test]
     fn truncated_frames_are_rejected(
         line in line_strategy(),
         cut_at in any::<usize>(),
+        sizes in prop::collection::vec(1usize..64, 0..8),
     ) {
         let bytes = frame_bytes(&line);
         let cut = cut_at % bytes.len(); // 0..len, always a strict prefix
-        let err = read_frame(&mut Cursor::new(&bytes[..cut]));
-        prop_assert!(err.is_err(), "truncated frame must not parse: {err:?}");
-
-        // The splitter view: a strict prefix never yields a frame.
-        let mut splitter = FrameSplitter::new();
-        splitter.push(&bytes[..cut]);
-        loop {
-            match splitter.next_frame() {
-                Ok(None) => break,         // incomplete: waiting for the rest
-                Err(_) => break,           // oversize/corrupt: rejected
-                Ok(Some(out)) => prop_assert_eq!(
-                    out, String::new(),
-                    "a truncated frame must never yield a payload"
-                ),
-            }
+        let err = read_frame(&mut Chunked::new(&bytes[..cut], &sizes));
+        match (cut, err) {
+            (0, Err(FrameError::Closed)) | (1.., Err(FrameError::Corrupt(_))) => {}
+            (_, other) => prop_assert!(false, "cut at {cut}: {other:?}"),
         }
     }
 }

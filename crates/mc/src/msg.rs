@@ -163,35 +163,7 @@ impl Op {
     }
 }
 
-/// Worker → controller message.
-pub enum Request {
-    /// The thread's next visible operation; the thread is parked awaiting a
-    /// [`Reply`].
-    Op(Tid, Op),
-    /// Create a modeled thread running `f`; processed eagerly (it is a
-    /// deterministic, non-branching event).
-    Spawn(Tid, Box<dyn FnOnce() + Send + 'static>),
-    /// The thread's closure returned.
-    Finished(Tid),
-    /// The thread's closure panicked with this message.
-    Panicked(Tid, String),
-    /// The thread unwound in response to [`Reply::Die`].
-    Aborted(Tid),
-}
-
-impl std::fmt::Debug for Request {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Request::Op(t, op) => write!(f, "Op({t}, {op:?})"),
-            Request::Spawn(t, _) => write!(f, "Spawn({t})"),
-            Request::Finished(t) => write!(f, "Finished({t})"),
-            Request::Panicked(t, m) => write!(f, "Panicked({t}, {m})"),
-            Request::Aborted(t) => write!(f, "Aborted({t})"),
-        }
-    }
-}
-
-/// Controller → worker message.
+/// The scheduler's answer to a modeled thread's [`Op`].
 #[derive(Clone, Debug)]
 pub enum Reply {
     /// Result of a load (the value read).
