@@ -159,18 +159,13 @@ fn main() {
             ..mc::Config::default()
         };
         // Pick up mid-tree if a previous run was interrupted inside this
-        // benchmark's exploration. A parallel run leaves several frontier
-        // shards; resuming through `resume_shards` replays exactly the
-        // unexplored remainder, regardless of the worker count now.
+        // benchmark's exploration: resuming its frontier shards replays
+        // exactly the unexplored remainder, regardless of the worker
+        // count now.
         let prior = match state.current.take() {
-            Some((name, ckpt)) if name == bench.name => {
-                let shards = ckpt.stats.frontier_shards();
-                if shards.len() > 1 || shards.iter().any(|s| s.floor != 0) {
-                    config.resume_shards = Some(shards);
-                } else {
-                    config.resume_script = Some(ckpt.script.clone());
-                }
-                Some(ckpt.stats)
+            Some((name, stats)) if name == bench.name => {
+                config.resume_shards = stats.shard_frontiers.clone();
+                Some(stats)
             }
             other => {
                 state.current = other;
@@ -187,10 +182,11 @@ fn main() {
         };
 
         if stats.stop == mc::StopReason::Deadline {
-            let ckpt = stats
-                .checkpoint()
-                .expect("a deadline stop leaves a frontier");
-            state.current = Some((bench.name.to_string(), ckpt));
+            assert!(
+                !stats.shard_frontiers.is_empty(),
+                "a deadline stop leaves a frontier"
+            );
+            state.current = Some((bench.name.to_string(), stats));
             save_and_exit(&args, &state);
         }
 

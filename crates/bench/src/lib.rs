@@ -21,7 +21,8 @@
 //!   *Exploration identity and rf-equivalence pruning*).
 //!
 //! `figure7` checkpoints at *exploration* granularity — completed rows
-//! plus a mid-tree [`mc::Checkpoint`] for the interrupted benchmark — so
+//! plus the interrupted benchmark's statistics and frontier shards in
+//! [`mc::Checkpoint`] text — so
 //! an interrupted-and-resumed run reports exactly the counts of a
 //! straight-through one. `figure8` checkpoints at *benchmark*
 //! granularity: completed Figure 8 rows are saved verbatim and the
@@ -204,9 +205,10 @@ pub fn exec_per_sec(executions: u64, elapsed_ns: u128) -> f64 {
 pub struct Figure7Checkpoint {
     /// Rows already computed.
     pub done: Vec<SavedRow7>,
-    /// `(benchmark name, exploration checkpoint)` of the benchmark the
-    /// deadline interrupted, if it struck mid-benchmark.
-    pub current: Option<(String, mc::Checkpoint)>,
+    /// `(benchmark name, statistics so far)` of the benchmark the
+    /// deadline interrupted, if it struck mid-benchmark; its
+    /// [`mc::Stats::shard_frontiers`] say where to resume.
+    pub current: Option<(String, mc::Stats)>,
 }
 
 impl Figure7Checkpoint {
@@ -228,9 +230,9 @@ impl Figure7Checkpoint {
                 r.rf_classes
             ));
         }
-        if let Some((name, ckpt)) = &self.current {
+        if let Some((name, stats)) = &self.current {
             out.push_str(&format!("current {name}\n"));
-            out.push_str(&ckpt.to_text());
+            out.push_str(&mc::Checkpoint::to_text(stats));
         }
         out.push_str("end\n");
         out
@@ -280,8 +282,8 @@ impl Figure7Checkpoint {
                         break;
                     }
                 }
-                let ckpt = mc::Checkpoint::from_text(&inner)?;
-                out.current = Some((name.to_string(), ckpt));
+                let stats = mc::Checkpoint::from_text(&inner)?;
+                out.current = Some((name.to_string(), stats));
             } else {
                 return Err(format!("unrecognized checkpoint line: {line}"));
             }
@@ -707,11 +709,16 @@ mod tests {
 
     #[test]
     fn figure7_checkpoint_round_trips() {
-        let mut inner = mc::Checkpoint::root();
-        inner.script = vec![0, 3, 1];
-        inner.stats.executions = 17;
-        inner.stats.stop = mc::StopReason::Deadline;
-        inner.stats.elapsed = Duration::from_millis(4321);
+        let inner = mc::Stats {
+            executions: 17,
+            stop: mc::StopReason::Deadline,
+            elapsed: Duration::from_millis(4321),
+            shard_frontiers: vec![mc::ShardSpec {
+                floor: 1,
+                script: vec![0, 3, 1],
+            }],
+            ..mc::Stats::default()
+        };
         let ck = Figure7Checkpoint {
             done: vec![SavedRow7 {
                 name: "SPSC Queue".into(),
@@ -724,18 +731,18 @@ mod tests {
                 executions_pruned: 12,
                 rf_classes: 9,
             }],
-            current: Some(("RCU".into(), inner)),
+            current: Some(("RCU".into(), inner.clone())),
         };
         let back = Figure7Checkpoint::from_text(&ck.to_text()).unwrap();
         assert_eq!(back.done, ck.done);
-        let (name, ckpt) = back.current.unwrap();
+        let (name, stats) = back.current.unwrap();
         assert_eq!(name, "RCU");
-        assert_eq!(ckpt.script, vec![0, 3, 1]);
-        assert_eq!(ckpt.stats.executions, 17);
+        assert_eq!(stats.shard_frontiers, inner.shard_frontiers);
+        assert_eq!(stats.executions, 17);
         // The interrupted benchmark's *active* exploration time rides
         // along: figure7 resumes accumulate onto it, so the summary's
         // exec/s never includes the suspension gap between runs.
-        assert_eq!(ckpt.stats.elapsed, Duration::from_millis(4321));
+        assert_eq!(stats.elapsed, Duration::from_millis(4321));
     }
 
     #[test]

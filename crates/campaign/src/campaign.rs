@@ -31,6 +31,7 @@ use crate::supervisor::{
     SlotStats, SubprocessTransport, Supervisor, SupervisorOpts, SupervisorStats, Transport,
 };
 use crate::wire::{config_hash, spec_hash, stats_from_json, stats_to_json, task_key};
+use crate::worker::run_task;
 use crate::{EXIT_BUG, EXIT_CLEAN, EXIT_RESUMABLE};
 use cdsspec_mc::{Config, ShardSpec, Stats, StopReason};
 use cdsspec_structures::registry::{benchmarks, Benchmark};
@@ -542,7 +543,7 @@ fn run_bench(
     };
 
     // Fan out only when the probe was cut by its cap and left work.
-    let leftover = probe_stats.frontier_shards();
+    let leftover = probe_stats.shard_frontiers.clone();
     if opts.split == 0 || probe_stats.stop != StopReason::ExecutionCap || leftover.is_empty() {
         return Ok((probe_stats, 0, 0));
     }
@@ -561,12 +562,11 @@ fn run_bench(
 /// The row for a benchmark whose probe never completed: zero counters,
 /// errored, with the whole (root) shard left on the resumable frontier.
 fn errored_root_stats() -> Stats {
-    let mut stats = Stats {
+    Stats {
         stop: StopReason::Errored,
+        shard_frontiers: vec![ShardSpec::root()],
         ..Stats::default()
-    };
-    stats.set_frontier_shards(vec![ShardSpec::root()]);
-    stats
+    }
 }
 
 /// Execute a batch of tasks, answering journaled tasks without running
@@ -608,24 +608,10 @@ fn run_tasks(
                 if let Some(stats) = replay.tasks.get(&key) {
                     return Outcome::Done(stats.clone());
                 }
-                let all = benchmarks();
-                let bench = all
-                    .iter()
-                    .find(|b| b.name == spec.bench)
-                    .expect("benchmark validated earlier");
                 let mut config = base_config.clone();
                 config.max_executions = spec.max_executions;
-                config.workers = opts.worker_threads.max(1);
-                config.resume_script = None;
-                config.resume_shards = Some(vec![spec.shard]);
-                let mut ords = bench.default_ords();
-                for &s in &opts.weaken {
-                    ords.weaken(s);
-                }
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    (bench.check)(config, ords)
-                }));
-                match result {
+                let threads = opts.worker_threads;
+                match run_task(&spec.bench, spec.shard, config, &opts.weaken, threads) {
                     Ok(stats) => {
                         journal_task(journal, &key, &stats);
                         Outcome::Done(stats)
@@ -637,9 +623,9 @@ fn run_tasks(
     }
 }
 
-/// Fold task outcomes (in task order) into the probe's stats. Quarantined
-/// and abandoned shards stay on the frontier — the row is resumable — and
-/// force `StopReason::Errored`.
+/// Fold task outcomes (in task order) into the probe's stats with
+/// [`Stats::merge`]. Quarantined and abandoned shards stay on the
+/// frontier — the row is resumable — and force `StopReason::Errored`.
 fn merge(probe: Stats, specs: &[TaskSpec], outcomes: Vec<Outcome>) -> (Stats, usize, usize) {
     let mut merged = probe;
     let mut stop = StopReason::Exhausted;
@@ -648,17 +634,10 @@ fn merge(probe: Stats, specs: &[TaskSpec], outcomes: Vec<Outcome>) -> (Stats, us
     let mut abandoned = 0;
     for (spec, outcome) in specs.iter().zip(outcomes) {
         match outcome {
-            Outcome::Done(s) => {
+            Outcome::Done(mut s) => {
                 stop = stop.worst(s.stop);
-                leftover.extend(s.frontier_shards());
-                merged.executions += s.executions;
-                merged.feasible += s.feasible;
-                merged.diverged += s.diverged;
-                merged.sleep_pruned += s.sleep_pruned;
-                merged.sampled += s.sampled;
-                merged.peak_depth = merged.peak_depth.max(s.peak_depth);
-                merged.elapsed += s.elapsed;
-                merged.bugs.extend(s.bugs);
+                leftover.append(&mut s.shard_frontiers);
+                merged.merge(s);
             }
             Outcome::Quarantined { .. } => {
                 suspects += 1;
@@ -679,7 +658,7 @@ fn merge(probe: Stats, specs: &[TaskSpec], outcomes: Vec<Outcome>) -> (Stats, us
         .bugs
         .retain(|b| seen.insert((b.bug.category(), b.bug.to_string())));
     merged.stop = stop;
-    merged.set_frontier_shards(leftover);
+    merged.shard_frontiers = leftover;
     (merged, suspects, abandoned)
 }
 
@@ -755,6 +734,9 @@ mod tests {
         let a = Stats {
             executions: 10,
             feasible: 6,
+            sleep_pruned: 3,
+            executions_pruned: 7,
+            rf_classes: [2u64, 3].into_iter().collect(),
             peak_depth: 4,
             stop: StopReason::Exhausted,
             ..Stats::default()
@@ -762,6 +744,9 @@ mod tests {
         let b = Stats {
             executions: 20,
             feasible: 12,
+            diverged: 1,
+            executions_pruned: 2,
+            rf_classes: [3u64, 4].into_iter().collect(),
             peak_depth: 9,
             stop: StopReason::Exhausted,
             ..Stats::default()
@@ -775,13 +760,49 @@ mod tests {
         assert_eq!((s1, a1), (0, 0));
         assert_eq!(m1.executions, 35);
         assert_eq!(m1.feasible, 21);
+        assert_eq!(m1.diverged, 1);
+        assert_eq!(m1.sleep_pruned, 3);
+        assert_eq!(m1.executions_pruned, 9, "every counter reaches the row");
+        assert_eq!(m1.rf_classes, [2u64, 3, 4].into_iter().collect());
         assert_eq!(m1.peak_depth, 9);
         assert_eq!(
             m1.stop,
             StopReason::Exhausted,
             "probe's cap is not inherited"
         );
-        assert!(m1.frontier.is_none());
+        assert!(m1.shard_frontiers.is_empty());
+    }
+
+    /// A split row (probe + one task per leftover shard) reports the
+    /// counters of the same benchmark run as one task.
+    #[test]
+    fn split_row_matches_unsplit_row() {
+        let bench = benchmarks()
+            .into_iter()
+            .find(|b| b.name == "SPSC Queue")
+            .expect("registered");
+        let row = |split: u64| {
+            let opts = CampaignOpts {
+                split,
+                in_process: true,
+                ..CampaignOpts::default()
+            };
+            let replay = JournalState::default();
+            run_bench(&bench, &opts, &opts.base_config(), None, &mut None, &replay)
+                .expect("in-process row")
+        };
+        let (whole, _, _) = row(0);
+        let (split, suspects, abandoned) = row(3);
+        assert_eq!((suspects, abandoned), (0, 0));
+        assert!(whole.executions > 3, "the split must fan out");
+        assert_eq!(split.stop, whole.stop);
+        assert_eq!(split.executions, whole.executions);
+        assert_eq!(split.feasible, whole.feasible);
+        assert_eq!(split.diverged, whole.diverged);
+        assert_eq!(split.sleep_pruned, whole.sleep_pruned);
+        assert_eq!(split.executions_pruned, whole.executions_pruned);
+        assert_eq!(split.rf_classes, whole.rf_classes);
+        assert_eq!(split.peak_depth, whole.peak_depth);
     }
 
     #[test]
@@ -806,7 +827,7 @@ mod tests {
         assert_eq!(abandoned, 0);
         assert_eq!(m.stop, StopReason::Errored);
         assert_eq!(
-            m.frontier_shards(),
+            m.shard_frontiers,
             vec![specs[1].shard.clone()],
             "the unexplored quarantined shard is resumable"
         );

@@ -38,8 +38,10 @@ use std::time::{Duration, Instant};
 /// Version of the networked protocol. Bumped on any change to the
 /// framing, the handshake, or the [`crate::proto`] message set; the
 /// daemon rejects mismatched peers at attach time. Version 2 moved the
-/// frame header to little-endian and dropped the worker `hello`.
-pub const PROTO_VERSION: u64 = 2;
+/// frame header to little-endian and dropped the worker `hello`;
+/// version 3 dropped the sampling fields from the stats and config
+/// encodings.
+pub const PROTO_VERSION: u64 = 3;
 
 /// FNV fold over every registered benchmark's name and spec hash, in
 /// registry order. Two binaries with the same registry hash agree on

@@ -117,7 +117,7 @@ pub fn stats_to_json(stats: &Stats) -> Json {
             ])
         })
         .collect();
-    let shards = stats.frontier_shards().iter().map(shard_to_json).collect();
+    let shards = stats.shard_frontiers.iter().map(shard_to_json).collect();
     // `rf_classes` is a BTreeSet, so the array is sorted — part of the
     // deterministic-encoding guarantee the cache's byte identity needs.
     let classes = stats.rf_classes.iter().map(|&c| Json::num(c)).collect();
@@ -126,7 +126,6 @@ pub fn stats_to_json(stats: &Stats) -> Json {
         ("feasible", Json::num(stats.feasible)),
         ("diverged", Json::num(stats.diverged)),
         ("sleep_pruned", Json::num(stats.sleep_pruned)),
-        ("sampled", Json::num(stats.sampled)),
         ("executions_pruned", Json::num(stats.executions_pruned)),
         ("rf_classes", Json::Arr(classes)),
         ("peak_depth", Json::num(stats.peak_depth)),
@@ -151,7 +150,6 @@ pub fn stats_from_json(v: &Json) -> Result<Stats, String> {
         feasible: num("feasible")?,
         diverged: num("diverged")?,
         sleep_pruned: num("sleep_pruned")?,
-        sampled: num("sampled")?,
         peak_depth: num("peak_depth")?,
         ..Stats::default()
     };
@@ -209,24 +207,22 @@ pub fn stats_from_json(v: &Json) -> Result<Stats, String> {
             shard,
         });
     }
-    let shards = v
+    stats.shard_frontiers = v
         .get("shards")
         .and_then(Json::as_arr)
         .ok_or("stats missing shards")?
         .iter()
         .map(shard_from_json)
         .collect::<Result<Vec<_>, _>>()?;
-    stats.set_frontier_shards(shards);
     Ok(stats)
 }
 
 /// Encode the *semantic* subset of a [`Config`]: every knob that can
 /// change what an exploration computes. Deliberately excluded — and
-/// therefore free to differ between cache hits — are `workers` and
-/// `steal_batch` (parallelism changes wall-clock, not results: the shard
-/// partition invariant), `verbose` (output only), and the
-/// `resume_*` channels (per-task inputs, carried separately by the wire
-/// protocol).
+/// therefore free to differ between cache hits — are `workers`
+/// (parallelism changes wall-clock, not results: the shard partition
+/// invariant) and `resume_shards` (a per-task input, carried separately
+/// by the wire protocol).
 pub fn config_to_json(config: &Config) -> Json {
     let opt_ns = |d: Option<Duration>| match d {
         Some(d) => Json::Num(d.as_nanos() as i128),
@@ -242,8 +238,6 @@ pub fn config_to_json(config: &Config) -> Json {
         ("max_executions", Json::num(config.max_executions)),
         ("time_budget_ns", opt_ns(config.time_budget)),
         ("hang_timeout_ns", opt_ns(config.hang_timeout)),
-        ("deadline_samples", Json::num(config.deadline_samples)),
-        ("sample_seed", Json::num(config.sample_seed)),
         ("max_threads", Json::num(config.max_threads)),
         ("sleep_sets", Json::Bool(config.sleep_sets)),
         ("stop_on_first_bug", Json::Bool(config.stop_on_first_bug)),
@@ -256,7 +250,7 @@ pub fn config_to_json(config: &Config) -> Json {
 }
 
 /// Decode a semantic config over [`Config::default`]. The caller decides
-/// `workers` and the resume channels; they are not on the wire.
+/// `workers` and `resume_shards`; they are not on the wire.
 pub fn config_from_json(v: &Json) -> Result<Config, String> {
     let mut config = Config::default();
     let num = |key: &str| {
@@ -280,8 +274,6 @@ pub fn config_from_json(v: &Json) -> Result<Config, String> {
     config.max_executions = num("max_executions")? as u64;
     config.time_budget = opt_ns("time_budget_ns")?;
     config.hang_timeout = opt_ns("hang_timeout_ns")?;
-    config.deadline_samples = num("deadline_samples")? as u64;
-    config.sample_seed = num("sample_seed")? as u64;
     config.max_threads = num("max_threads")? as u32;
     config.sleep_sets = v
         .get("sleep_sets")
@@ -339,7 +331,6 @@ mod tests {
             feasible: 60,
             diverged: 30,
             sleep_pruned: 10,
-            sampled: 4,
             executions_pruned: 40,
             peak_depth: 12,
             elapsed: Duration::from_nanos(1_234_567_890),
@@ -359,7 +350,7 @@ mod tests {
         // Include a signature above i64::MAX: FNV values use the full
         // u64 range and must survive the i128 wire representation.
         stats.rf_classes.extend([3, u64::MAX - 1, 7]);
-        stats.set_frontier_shards(vec![
+        stats.shard_frontiers = vec![
             ShardSpec {
                 floor: 2,
                 script: vec![0, 1, 3],
@@ -368,7 +359,7 @@ mod tests {
                 floor: 0,
                 script: vec![],
             },
-        ]);
+        ];
         stats
     }
 
@@ -380,14 +371,12 @@ mod tests {
         assert_eq!(back.feasible, stats.feasible);
         assert_eq!(back.diverged, stats.diverged);
         assert_eq!(back.sleep_pruned, stats.sleep_pruned);
-        assert_eq!(back.sampled, stats.sampled);
         assert_eq!(back.executions_pruned, stats.executions_pruned);
         assert_eq!(back.rf_classes, stats.rf_classes);
         assert_eq!(back.peak_depth, stats.peak_depth);
         assert_eq!(back.elapsed, stats.elapsed);
         assert_eq!(back.stop, stats.stop);
         assert_eq!(back.shard_frontiers, stats.shard_frontiers);
-        assert_eq!(back.frontier, stats.frontier);
         assert_eq!(back.bugs.len(), 1);
         assert_eq!(back.bugs[0].bug.to_string(), stats.bugs[0].bug.to_string());
         assert_eq!(back.bugs[0].bug.category(), BugCategory::Assertion);
@@ -405,7 +394,6 @@ mod tests {
             ..Stats::default()
         };
         let back = stats_from_json(&stats_to_json(&stats)).unwrap();
-        assert_eq!(back.frontier, None);
         assert!(back.shard_frontiers.is_empty());
     }
 
@@ -423,17 +411,15 @@ mod tests {
         let config = Config {
             max_executions: 123,
             time_budget: Some(Duration::from_millis(250)),
-            sample_seed: 42,
             ..Config::default()
         };
         let back = config_from_json(&config_to_json(&config)).expect("round trips");
         assert_eq!(config_hash(&back), config_hash(&config));
 
-        // Parallelism knobs do not change the hash (results are
+        // The worker count does not change the hash (results are
         // worker-count independent)...
         let mut parallel = config.clone();
         parallel.workers = 8;
-        parallel.steal_batch = 4;
         assert_eq!(config_hash(&parallel), config_hash(&config));
 
         // ...but semantic knobs do. Pruning changes the execution

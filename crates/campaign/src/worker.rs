@@ -15,7 +15,7 @@
 
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::proto::{FromWorker, ToWorker};
-use cdsspec_mc::{Config, ShardSpec};
+use cdsspec_mc::{Config, ShardSpec, Stats};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -37,16 +37,56 @@ pub struct WorkerOpts {
 /// Sentinel meaning "no task running" in the heartbeat cell.
 const IDLE: u64 = u64::MAX;
 
-/// Execute one `Run` dispatch end to end: poison check, registry
-/// lookup, ordering weakening, exploration, panic containment. Returns
-/// exactly one reply (`Result` or `Error`). `current` is the heartbeat
-/// cell, set to `task` for the duration of the check so the heartbeat
-/// thread keeps the supervisor's lease alive.
+/// Run one campaign task: look `bench` up in the registry, weaken the
+/// `weaken` ordering sites, and explore `shard` with `threads` explorer
+/// threads, containing any panic. The one task runner shared by worker
+/// processes and in-process campaigns; an `Err` carries the reason the
+/// task produced no statistics.
+pub(crate) fn run_task(
+    bench: &str,
+    shard: ShardSpec,
+    mut config: Config,
+    weaken: &[usize],
+    threads: usize,
+) -> Result<Stats, String> {
+    let all = cdsspec_structures::registry::benchmarks();
+    let b = all
+        .iter()
+        .find(|b| b.name == bench)
+        .ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
+    let mut ords = b.default_ords();
+    if let Some(&s) = weaken.iter().find(|&&s| s >= ords.len()) {
+        return Err(format!(
+            "weaken site {s} out of range for {bench:?} ({} sites)",
+            ords.len()
+        ));
+    }
+    for &s in weaken {
+        ords.weaken(s);
+    }
+    config.workers = threads.max(1);
+    config.resume_shards = vec![shard];
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (b.check)(config, ords))).map_err(
+        |payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "check panicked".into());
+            format!("check panicked: {message}")
+        },
+    )
+}
+
+/// Execute one `Run` dispatch end to end: poison check, then
+/// [`run_task`]. Returns exactly one reply (`Result` or `Error`).
+/// `current` is the heartbeat cell, set to `task` for the duration of
+/// the task so the heartbeat thread keeps the supervisor's lease alive.
 fn execute_run(
     task: u64,
     bench: String,
     shard: ShardSpec,
-    mut config: Config,
+    config: Config,
     weaken: Vec<usize>,
     opts: &WorkerOpts,
     current: &AtomicU64,
@@ -56,45 +96,12 @@ fn execute_run(
         // would — no unwinding, no reply, just SIGABRT.
         std::process::abort();
     }
-    let all = cdsspec_structures::registry::benchmarks();
-    let Some(b) = all.iter().find(|b| b.name == bench) else {
-        return FromWorker::Error {
-            task,
-            message: format!("unknown benchmark {bench:?}"),
-        };
-    };
-    config.workers = opts.worker_threads.max(1);
-    config.resume_script = None;
-    config.resume_shards = Some(vec![shard]);
-    let mut ords = b.default_ords();
-    if let Some(&s) = weaken.iter().find(|&&s| s >= ords.len()) {
-        return FromWorker::Error {
-            task,
-            message: format!(
-                "weaken site {s} out of range for {bench:?} ({} sites)",
-                ords.len()
-            ),
-        };
-    }
-    for &s in &weaken {
-        ords.weaken(s);
-    }
     current.store(task, Ordering::Relaxed);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (b.check)(config, ords)));
+    let result = run_task(&bench, shard, config, &weaken, opts.worker_threads);
     current.store(IDLE, Ordering::Relaxed);
     match result {
         Ok(stats) => FromWorker::Result { task, stats },
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "check panicked".into());
-            FromWorker::Error {
-                task,
-                message: format!("check panicked: {message}"),
-            }
-        }
+        Err(message) => FromWorker::Error { task, message },
     }
 }
 

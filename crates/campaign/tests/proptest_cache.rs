@@ -78,25 +78,24 @@ fn stats_strategy() -> impl Strategy<Value = Stats> {
         .prop_map(
             |(
                 (executions, feasible, diverged, sleep_pruned),
-                (sampled, peak_depth, elapsed_ns),
+                (executions_pruned, peak_depth, elapsed_ns),
                 stop_ix,
                 bugs,
                 shards,
             )| {
-                let mut s = Stats {
+                Stats {
                     executions,
                     feasible,
                     diverged,
                     sleep_pruned,
-                    sampled,
+                    executions_pruned,
                     peak_depth,
                     bugs,
                     elapsed: Duration::from_nanos(elapsed_ns),
                     stop: stop(stop_ix),
+                    shard_frontiers: shards,
                     ..Stats::default()
-                };
-                s.set_frontier_shards(shards);
-                s
+                }
             },
         )
 }

@@ -39,16 +39,15 @@ fn shard_strategy() -> impl Strategy<Value = ShardSpec> {
 }
 
 /// Semantic-config strategy. Only the wire-carried subset is varied: the
-/// encoder deliberately drops parallelism knobs (`workers`,
-/// `steal_batch`, ...), so varying them would make "decode equals
-/// original" vacuously false for reasons unrelated to framing.
+/// encoder deliberately drops `workers` and `resume_shards`, so varying
+/// them would make "decode equals original" vacuously false for reasons
+/// unrelated to framing.
 fn config_strategy() -> impl Strategy<Value = Config> {
     (
         (100u32..5000, 0u32..10, 0u32..10, 1u64..1 << 40),
         prop::option::of(1u64..1 << 40),
         prop::option::of(1u64..1 << 40),
         (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
-        0u64..u64::MAX,
     )
         .prop_map(
             |(
@@ -56,7 +55,6 @@ fn config_strategy() -> impl Strategy<Value = Config> {
                 time_budget_ns,
                 hang_timeout_ns,
                 (sleep_sets, rf_prune, stop_on_first_bug, debug_audit),
-                sample_seed,
             )| Config {
                 max_steps_per_thread,
                 max_spins,
@@ -64,7 +62,6 @@ fn config_strategy() -> impl Strategy<Value = Config> {
                 max_executions,
                 time_budget: time_budget_ns.map(Duration::from_nanos),
                 hang_timeout: hang_timeout_ns.map(Duration::from_nanos),
-                sample_seed,
                 sleep_sets,
                 rf_prune,
                 stop_on_first_bug,
@@ -110,17 +107,17 @@ fn stats_strategy() -> impl Strategy<Value = Stats> {
         .prop_map(
             |(
                 (executions, feasible, diverged, sleep_pruned),
-                (sampled, peak_depth, elapsed_ns),
+                (executions_pruned, peak_depth, elapsed_ns),
                 stop_ix,
                 bugs,
                 shards,
             )| {
-                let mut s = Stats {
+                Stats {
                     executions,
                     feasible,
                     diverged,
                     sleep_pruned,
-                    sampled,
+                    executions_pruned,
                     peak_depth,
                     bugs,
                     elapsed: Duration::from_nanos(elapsed_ns),
@@ -131,10 +128,9 @@ fn stats_strategy() -> impl Strategy<Value = Stats> {
                         3 => StopReason::Deadline,
                         _ => StopReason::Errored,
                     },
+                    shard_frontiers: shards,
                     ..Stats::default()
-                };
-                s.set_frontier_shards(shards);
-                s
+                }
             },
         )
 }

@@ -369,11 +369,11 @@ pub type SuitePart<S> = (Spec<S>, Box<dyn Fn() + Send + Sync + 'static>);
 /// checkpoint/resume across parts.
 ///
 /// A plain sequence of [`check`] calls merged together cannot resume: a
-/// [`cdsspec_mc::Stats::frontier`] replay script does not say which
-/// part's choice tree it belongs to. `check_suite` therefore prefixes
-/// every frontier it reports with the part index and peels that prefix
-/// off [`cdsspec_mc::Config::resume_script`] on the way back in, so the
-/// suite as a whole keeps the partition invariant
+/// frontier shard does not say which part's choice tree it belongs to.
+/// `check_suite` therefore prefixes every frontier shard it reports with
+/// the part index (one level deeper, so the floor rises by one) and
+/// peels that prefix off [`cdsspec_mc::Config::resume_shards`] on the way
+/// back in, so the suite as a whole keeps the partition invariant
 /// `executions(full) == executions(to checkpoint) + executions(resumed)`.
 ///
 /// A wall-clock [`cdsspec_mc::Config::time_budget`] covers the whole
@@ -383,15 +383,12 @@ where
     S: Send + 'static,
 {
     let last = parts.len().saturating_sub(1);
-    // Three resume channels, in precedence order: a shard set from an
-    // interrupted parallel run (every shard carries the same part-index
-    // prefix — shards never span parts), a single prefixed script, or
-    // nothing. Peeling the part index off a shard also lowers its floor:
-    // the synthetic prefix element sits below every real choice point.
-    let (start, inner_script, inner_shards) = match (&config.resume_shards, &config.resume_script) {
-        (Some(shards), _) if !shards.is_empty() && !shards[0].script.is_empty() => {
-            let idx = shards[0].script[0].min(last);
-            let inner: Vec<cdsspec_mc::ShardSpec> = shards
+    // Resume: every shard of an interrupted suite carries the same
+    // part-index prefix (shards never span parts). Without one, start at
+    // the first part's root.
+    let (start, mut inner) = match config.resume_shards.as_slice() {
+        shards @ [first, ..] if !first.script.is_empty() => {
+            let inner = shards
                 .iter()
                 .filter(|s| !s.script.is_empty())
                 .map(|s| cdsspec_mc::ShardSpec {
@@ -399,45 +396,22 @@ where
                     script: s.script[1..].to_vec(),
                 })
                 .collect();
-            (idx, None, Some(inner))
+            (first.script[0].min(last), inner)
         }
-        (_, Some(script)) if !script.is_empty() => {
-            (script[0].min(last), Some(script[1..].to_vec()), None)
-        }
-        _ => (0, None, None),
+        _ => (0, Vec::new()),
     };
     let deadline = config.time_budget.map(|b| std::time::Instant::now() + b);
     let mut acc = cdsspec_mc::Stats::default();
     for (idx, (spec, test)) in parts.into_iter().enumerate().skip(start) {
         let mut part_config = config.clone();
-        (part_config.resume_script, part_config.resume_shards) = if idx == start {
-            (inner_script.clone(), inner_shards.clone())
-        } else {
-            (None, None)
-        };
+        // Only the first part run (`idx == start`) resumes mid-tree.
+        part_config.resume_shards = std::mem::take(&mut inner);
         part_config.time_budget =
             deadline.map(|d| d.saturating_duration_since(std::time::Instant::now()));
         let mut fresh = check(part_config, spec, test);
-        if let Some(frontier) = fresh.frontier.take() {
-            let mut prefixed = Vec::with_capacity(frontier.len() + 1);
-            prefixed.push(idx);
-            prefixed.extend(frontier);
-            fresh.frontier = Some(prefixed);
-        }
-        if !fresh.shard_frontiers.is_empty() {
-            let shards = std::mem::take(&mut fresh.shard_frontiers);
-            fresh.shard_frontiers = shards
-                .into_iter()
-                .map(|s| {
-                    let mut prefixed = Vec::with_capacity(s.script.len() + 1);
-                    prefixed.push(idx);
-                    prefixed.extend(s.script);
-                    cdsspec_mc::ShardSpec {
-                        floor: s.floor + 1,
-                        script: prefixed,
-                    }
-                })
-                .collect();
+        for shard in &mut fresh.shard_frontiers {
+            shard.script.insert(0, idx);
+            shard.floor += 1;
         }
         let stop_here = fresh.buggy() || fresh.truncated();
         acc.continue_with(fresh);

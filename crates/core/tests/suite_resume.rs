@@ -30,6 +30,43 @@ fn part_b() {
     t2.join();
 }
 
+/// Resume `cut`'s frontier shards under `config` and fold the result onto
+/// `cut` — the one resume path.
+fn resume(cut: &mc::Stats, config: Config) -> mc::Stats {
+    let fresh = check_suite(
+        Config {
+            resume_shards: cut.shard_frontiers.clone(),
+            ..config
+        },
+        suite(),
+    );
+    let mut total = cut.clone();
+    total.continue_with(fresh);
+    total
+}
+
+/// A cut-and-resumed suite reports the straight-through suite's counters.
+fn assert_same_counts(full: &mc::Stats, total: &mc::Stats, label: &str) {
+    let bugs = |s: &mc::Stats| {
+        let mut m: Vec<String> = s.bugs.iter().map(|b| b.bug.to_string()).collect();
+        m.sort();
+        m
+    };
+    assert_eq!(total.stop, mc::StopReason::Exhausted, "{label}");
+    assert!(total.shard_frontiers.is_empty(), "{label}");
+    assert_eq!(
+        total.executions,
+        full.executions,
+        "{label}: resumed {} != full {}",
+        total.summary(),
+        full.summary()
+    );
+    assert_eq!(total.feasible, full.feasible, "{label}");
+    assert_eq!(total.executions_pruned, full.executions_pruned, "{label}");
+    assert_eq!(total.rf_classes, full.rf_classes, "{label}");
+    assert_eq!(bugs(total), bugs(full), "{label}");
+}
+
 /// The raw-atomics closures make no specification calls, so an empty
 /// spec sees clean executions and the suite exercises pure exploration.
 fn suite() -> Vec<SuitePart<()>> {
@@ -43,7 +80,7 @@ fn suite() -> Vec<SuitePart<()>> {
 fn suite_runs_all_parts() {
     let full = check_suite(Config::default(), suite());
     assert_eq!(full.stop, mc::StopReason::Exhausted, "{}", full.summary());
-    assert!(full.frontier.is_none());
+    assert!(full.shard_frontiers.is_empty());
     let a = spec::check(Config::default(), Spec::new("noop", || ()), part_a);
     let b = spec::check(Config::default(), Spec::new("noop", || ()), part_b);
     assert_eq!(full.executions, a.executions + b.executions);
@@ -51,7 +88,7 @@ fn suite_runs_all_parts() {
 
 /// Cutting the suite at every sampled cap and resuming from the reported
 /// frontier partitions the executions exactly, whichever part the cap
-/// lands in.
+/// lands in, at one and two workers.
 #[test]
 fn suite_partitions_across_any_cut() {
     let full = check_suite(Config::default(), suite());
@@ -63,54 +100,49 @@ fn suite_partitions_across_any_cut() {
         .step_by(stride)
         .chain([1, part_a_total + 1])
         .collect::<Vec<_>>();
-    for cap in caps {
-        // `workers: 1` on the cut: `resume_script` resumption needs the
-        // single-shard frontier only the sequential engine guarantees.
-        let cut = check_suite(
-            Config {
-                max_executions: cap,
-                workers: 1,
-                ..Config::default()
-            },
-            suite(),
-        );
-        if cut.stop == mc::StopReason::Exhausted {
-            // The per-part cap never fired (each part is under `cap`).
-            assert_eq!(cut.executions, full.executions);
-            continue;
+    for workers in [1, 2] {
+        let config = Config {
+            workers,
+            ..Config::default()
+        };
+        for &cap in &caps {
+            let cut = check_suite(
+                Config {
+                    max_executions: cap,
+                    ..config.clone()
+                },
+                suite(),
+            );
+            if cut.stop == mc::StopReason::Exhausted {
+                // The per-part cap never fired (each part is under `cap`).
+                assert_eq!(cut.executions, full.executions);
+                continue;
+            }
+            assert_eq!(
+                cut.stop,
+                mc::StopReason::ExecutionCap,
+                "cap {cap}: {}",
+                cut.summary()
+            );
+            let part = cut.shard_frontiers[0].script[0];
+            assert!(
+                cut.shard_frontiers.iter().all(|s| s.script[0] == part),
+                "cap {cap}, w{workers}: shards never span parts"
+            );
+            if workers == 1 {
+                // The per-part cap cuts part A only while it is below
+                // part A's tree size; at or past it, part A exhausts and
+                // part B truncates. (Two workers may overshoot the cap by
+                // one execution, which moves the boundary.)
+                let expected_part = usize::from(cap >= part_a_total);
+                assert_eq!(
+                    part, expected_part,
+                    "cap {cap} cuts in part {expected_part}"
+                );
+            }
+            let total = resume(&cut, config.clone());
+            assert_same_counts(&full, &total, &format!("cap {cap}, w{workers}"));
         }
-        assert_eq!(
-            cut.stop,
-            mc::StopReason::ExecutionCap,
-            "cap {cap}: {}",
-            cut.summary()
-        );
-        let frontier = cut
-            .frontier
-            .clone()
-            .expect("capped suite leaves a frontier");
-        // The per-part cap cuts part A only while it is below part A's
-        // tree size; at or past it, part A exhausts and part B truncates.
-        let expected_part = usize::from(cap >= part_a_total);
-        assert_eq!(
-            frontier[0], expected_part,
-            "cap {cap} cuts in part {expected_part}"
-        );
-        let resumed = check_suite(
-            Config {
-                resume_script: Some(frontier),
-                ..Config::default()
-            },
-            suite(),
-        );
-        assert_eq!(
-            cut.executions + resumed.executions,
-            full.executions,
-            "cap {cap}: cut {} + resumed {} != full {}",
-            cut.summary(),
-            resumed.summary(),
-            full.summary()
-        );
     }
 }
 
@@ -147,24 +179,14 @@ fn suite_parallel_cut_resumes_through_shards() {
             "cap {cap}: a truncated parallel suite leaves shards: {}",
             cut.summary()
         );
-        for resume_workers in [1, 3] {
-            let resumed = check_suite(
-                Config {
-                    resume_shards: Some(cut.shard_frontiers.clone()),
-                    workers: resume_workers,
-                    ..Config::default()
-                },
-                suite(),
-            );
-            assert_eq!(
-                cut.executions + resumed.executions,
-                full.executions,
-                "cap {cap}, resume at {resume_workers} workers: cut {} + resumed {} != full {}",
-                cut.summary(),
-                resumed.summary(),
-                full.summary()
-            );
-            assert_eq!(resumed.stop, mc::StopReason::Exhausted);
+        for resume_workers in [1, 2, 3] {
+            let config = Config {
+                workers: resume_workers,
+                ..Config::default()
+            };
+            let total = resume(&cut, config);
+            let label = format!("cap {cap}, resume at {resume_workers} workers");
+            assert_same_counts(&full, &total, &label);
         }
     }
 }
@@ -227,62 +249,47 @@ fn suite_rf_pruning_is_sound_across_peeled_shards() {
         return;
     }
     assert!(!cut.shard_frontiers.is_empty(), "{}", cut.summary());
-    let resumed = check_suite(
+    let total = resume(
+        &cut,
         Config {
-            resume_shards: Some(cut.shard_frontiers.clone()),
             workers: 2,
             rf_prune: true,
             ..Config::default()
         },
-        suite(),
     );
-    assert_eq!(
-        cut.executions + resumed.executions,
-        full.executions,
-        "cut {} + resumed {} != full {}",
-        cut.summary(),
-        resumed.summary(),
-        full.summary()
-    );
-    assert_eq!(
-        cut.executions_pruned + resumed.executions_pruned,
-        full.executions_pruned,
-        "pruned-branch counts must partition: cut {} + resumed {} != full {}",
-        cut.summary(),
-        resumed.summary(),
-        full.summary()
-    );
-    let mut classes = cut.rf_classes.clone();
-    classes.extend(resumed.rf_classes.iter().copied());
-    assert_eq!(
-        classes, full.rf_classes,
-        "rf classes must union to the full set"
-    );
+    // `assert_same_counts` covers `executions_pruned` and the rf-class
+    // union too.
+    assert_same_counts(&full, &total, "pruned parallel cut");
 }
 
 /// A wall-clock budget of zero stops the suite with a resumable frontier
-/// in its first part, and the resumed run completes the tree.
+/// in its first part, and the resumed run completes the tree — at one and
+/// two workers.
 #[test]
 fn suite_deadline_resumes_exactly() {
     let full = check_suite(Config::default(), suite());
-    let cut = check_suite(
-        Config {
-            time_budget: Some(Duration::ZERO),
-            workers: 1,
+    for workers in [1, 2] {
+        let config = Config {
+            workers,
             ..Config::default()
-        },
-        suite(),
-    );
-    assert_eq!(cut.stop, mc::StopReason::Deadline, "{}", cut.summary());
-    let frontier = cut.frontier.clone().expect("deadline leaves a frontier");
-    assert_eq!(frontier[0], 0, "a zero budget stops in the first part");
-    let resumed = check_suite(
-        Config {
-            resume_script: Some(frontier),
-            ..Config::default()
-        },
-        suite(),
-    );
-    assert_eq!(cut.executions + resumed.executions, full.executions);
-    assert_eq!(resumed.stop, mc::StopReason::Exhausted);
+        };
+        let cut = check_suite(
+            Config {
+                time_budget: Some(Duration::ZERO),
+                ..config.clone()
+            },
+            suite(),
+        );
+        assert_eq!(cut.stop, mc::StopReason::Deadline, "{}", cut.summary());
+        assert!(
+            !cut.shard_frontiers.is_empty(),
+            "deadline leaves a frontier"
+        );
+        assert!(
+            cut.shard_frontiers.iter().all(|s| s.script[0] == 0),
+            "a zero budget stops in the first part"
+        );
+        let total = resume(&cut, config);
+        assert_same_counts(&full, &total, &format!("deadline cut, w{workers}"));
+    }
 }

@@ -37,32 +37,21 @@ pub struct Config {
     /// loop), reporting `Bug::InternalHang`. `None` disables the watchdog
     /// and restores the old park-forever behavior.
     pub hang_timeout: Option<Duration>,
-    /// When the deadline fires before exhaustion, additionally probe this
-    /// many random-walk executions of the *unexplored* part of the choice
-    /// tree (seeded by `sample_seed`, fully deterministic). 0 disables
-    /// the degradation mode.
-    pub deadline_samples: u64,
-    /// PRNG seed for deadline-degraded sampling.
-    pub sample_seed: u64,
-    /// Start DFS from this replay script instead of the tree root —
-    /// the `Checkpoint::script` of an interrupted run. Threads resumption
-    /// through APIs that only accept a `Config` (e.g. the benchmark
-    /// registry's `check` function pointers). `None`/empty = the root.
-    pub resume_script: Option<Vec<usize>>,
-    /// Resume exploration from a *set* of frontier shards instead of a
-    /// single script — the `Stats::shard_frontiers` of an interrupted
-    /// parallel run. Takes precedence over `resume_script` when set.
-    /// `None` = start from the root (or from `resume_script`).
-    pub resume_shards: Option<Vec<ShardSpec>>,
+    /// Resume exploration from these frontier shards instead of the tree
+    /// root — the [`crate::Stats::shard_frontiers`] of an interrupted run,
+    /// at any worker count. The resumed run's statistics cover only the
+    /// shards; fold them onto the interrupted run's with
+    /// [`crate::Stats::continue_with`]. Empty = the tree root, so resume
+    /// only a run whose `shard_frontiers` is non-empty: an exhausted run
+    /// has nothing left, and its empty list would explore the whole tree
+    /// again.
+    pub resume_shards: Vec<ShardSpec>,
     /// Number of parallel explorer workers. `1` = the classic sequential
     /// engine; `0` = auto-detect (`std::thread::available_parallelism`).
     /// The default is `1`, overridable process-wide by setting the
     /// `CDSSPEC_WORKERS` environment variable (used by CI to run the
     /// whole tier-1 suite through the parallel engine).
     pub workers: usize,
-    /// How many frontier shards an idle worker tries to steal per request
-    /// (it receives fewer when the donor has less to give). Must be ≥ 1.
-    pub steal_batch: usize,
     /// Maximum modeled threads per execution.
     pub max_threads: u32,
     /// Enable sleep-set partial-order reduction (on by default; the
@@ -93,8 +82,6 @@ pub struct Config {
     /// to leave on by default. Bench probes turn it off to measure the
     /// bare engine. Ignored (subsumed) when `validate_axioms` is set.
     pub debug_audit: bool,
-    /// Print every explored trace (debugging).
-    pub verbose: bool,
 }
 
 impl Default for Config {
@@ -106,22 +93,17 @@ impl Default for Config {
             max_executions: 20_000_000,
             time_budget: None,
             hang_timeout: Some(Duration::from_secs(10)),
-            deadline_samples: 0,
-            sample_seed: 0xCD55_9EC5,
-            resume_script: None,
-            resume_shards: None,
+            resume_shards: Vec::new(),
             workers: std::env::var("CDSSPEC_WORKERS")
                 .ok()
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(1),
-            steal_batch: 1,
             max_threads: 32,
             sleep_sets: true,
             rf_prune: true,
             stop_on_first_bug: true,
             validate_axioms: false,
             debug_audit: true,
-            verbose: false,
         }
     }
 }
@@ -163,10 +145,7 @@ mod tests {
         assert!(Config::validating().validate_axioms);
         assert!(c.time_budget.is_none(), "no deadline unless asked");
         assert!(c.hang_timeout.is_some(), "watchdog on by default");
-        assert_eq!(c.deadline_samples, 0, "sampling degradation is opt-in");
-        assert!(c.resume_script.is_none());
-        assert!(c.resume_shards.is_none());
-        assert!(c.steal_batch >= 1);
+        assert!(c.resume_shards.is_empty());
         assert!(c.effective_workers() >= 1, "0 resolves to >= 1");
     }
 }

@@ -8,13 +8,15 @@
 //!
 //! ## Resumability
 //!
-//! The replay script *is* the explorer's complete state: `next_script`
-//! computes the first unexplored leaf from the last execution's choices,
-//! and a run cut short by the cap or the deadline records that script as
-//! its [`Stats::frontier`]. [`explore_from`] restarts DFS at a
-//! [`Checkpoint`]'s frontier and visits exactly the leaves the original
-//! run had left, so execution counts partition:
-//! `executions(full) == executions(to checkpoint) + executions(resumed)`.
+//! A replay script plus a depth floor ([`ShardSpec`]) is a complete
+//! explorer state: bounded DFS from it visits exactly the leaves of that
+//! subtree that a straight-through run would still have visited. A run
+//! cut short by the cap or the deadline records every abandoned subtree
+//! in [`Stats::shard_frontiers`]; resuming them through
+//! [`Config::resume_shards`] and folding the result onto the cut run
+//! with [`Stats::continue_with`] partitions the execution counts exactly:
+//! `executions(full) == executions(to checkpoint) + executions(resumed)`,
+//! at any worker count on either side.
 //!
 //! ## Parallel exploration
 //!
@@ -27,17 +29,6 @@
 //! live here, next to the sequential loop they generalize. See
 //! `ARCHITECTURE.md` for the shard→steal→merge protocol and the
 //! determinism argument.
-//!
-//! ## Deadline degradation
-//!
-//! With `Config::deadline_samples > 0`, a sequential run that hits its
-//! deadline additionally probes the *unexplored* region with seeded
-//! random-walk executions (each replays the frontier prefix, then resolves
-//! choice points by PRNG) — deterministic per `Config::sample_seed`, and
-//! the DFS frontier is advanced past each probed subtree so samples spread
-//! across the remaining tree instead of clustering under one branch.
-//! (Parallel runs skip the degradation phase: their frontier is a shard
-//! *set*, which the single-script random walk cannot probe coherently.)
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -45,16 +36,10 @@ use std::time::Instant;
 
 use crate::config::Config;
 use crate::plugin::{Plugin, PluginFactory};
-use crate::report::{Bug, Checkpoint, FoundBug, ShardSpec, Stats, StopReason};
+use crate::report::{Bug, FoundBug, ShardSpec, Stats, StopReason, MAX_BUG_RECORDS};
 use crate::runtime::{run_once, ChoiceRec, Reuse, RunOutcome, RunResult};
 use crate::worker::{in_model, install_quiet_panic_hook, panic_message};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// Maximum distinct bug records retained (duplicates across executions are
-/// folded; exploration statistics still count every occurrence).
-pub(crate) const MAX_BUG_RECORDS: usize = 24;
 
 /// The plugins one explorer instance checks feasible executions with.
 ///
@@ -96,17 +81,14 @@ pub(crate) enum ShardEnd {
 
 /// One DFS campaign over a test closure's choice tree (or a shard of it).
 pub(crate) struct Explorer {
-    pub(crate) config: Config,
+    config: Config,
     test: Arc<dyn Fn() + Send + Sync>,
     pub(crate) stats: Stats,
     /// Rendered messages of every bug seen (the dedup key).
-    pub(crate) seen_bugs: HashSet<String>,
-    /// Executions performed by *this* run (`stats.executions` may include
-    /// a resumed checkpoint's prior count; the cap applies locally).
-    local_executions: u64,
+    seen_bugs: HashSet<String>,
     deadline: Option<Instant>,
     /// Worker index stamped onto found bugs (0 for the sequential engine).
-    pub(crate) worker: usize,
+    worker: usize,
     /// Start script of the shard currently being explored, stamped onto
     /// found bugs so parallel repros stay debuggable.
     pub(crate) shard_start: Vec<usize>,
@@ -116,37 +98,21 @@ pub(crate) struct Explorer {
 }
 
 impl Explorer {
-    pub(crate) fn new(config: Config, prior: Stats, test: Arc<dyn Fn() + Send + Sync>) -> Self {
+    /// An explorer for worker `worker` (0 for the sequential engine),
+    /// starting from zeroed statistics.
+    pub(crate) fn new(config: Config, test: Arc<dyn Fn() + Send + Sync>, worker: usize) -> Self {
         let deadline = config.time_budget.map(|b| Instant::now() + b);
-        let seen_bugs = prior.bugs.iter().map(|b| b.bug.to_string()).collect();
         install_quiet_panic_hook();
         Explorer {
             config,
             test,
-            stats: prior,
-            seen_bugs,
-            local_executions: 0,
+            stats: Stats::default(),
+            seen_bugs: HashSet::new(),
             deadline,
-            worker: 0,
+            worker,
             shard_start: Vec::new(),
             reuse: Reuse::default(),
         }
-    }
-
-    /// An explorer for parallel worker `worker`: zeroed statistics (the
-    /// checkpointed prior lives once, in the merge base), but with the
-    /// prior run's bug messages pre-seeded so resumed bugs stay
-    /// deduplicated.
-    pub(crate) fn for_worker(
-        config: Config,
-        seen: &[String],
-        test: Arc<dyn Fn() + Send + Sync>,
-        worker: usize,
-    ) -> Self {
-        let mut ex = Explorer::new(config, Stats::default(), test);
-        ex.seen_bugs = seen.iter().cloned().collect();
-        ex.worker = worker;
-        ex
     }
 
     /// Record one bug occurrence, deduplicated by rendered message.
@@ -171,28 +137,16 @@ impl Explorer {
         &mut self,
         plugins: &mut PluginSet,
         script: &[usize],
-        sampler: Option<StdRng>,
     ) -> (RunResult, Option<StopReason>) {
         let mut result = run_once(
             &self.config,
             script,
             Arc::clone(&self.test),
-            sampler,
             &mut self.reuse,
         );
         self.stats.executions += 1;
-        self.local_executions += 1;
         self.stats.peak_depth = self.stats.peak_depth.max(result.choices.len() as u64);
         self.stats.executions_pruned += result.pruned;
-
-        if self.config.verbose {
-            eprintln!(
-                "== execution {} ({:?}) ==\n{}",
-                self.stats.executions,
-                result.outcome,
-                result.trace.render()
-            );
-        }
 
         let mut stop = None;
         match &result.outcome {
@@ -288,7 +242,7 @@ impl Explorer {
         let floor = shard.floor;
         let mut script = shard.script;
         loop {
-            let (result, stop) = self.step(plugins, &script, None);
+            let (result, stop) = self.step(plugins, &script);
             // Where DFS would go next — recorded before deciding to stop,
             // so an interrupted run always knows its frontier.
             let frontier = next_script_bounded(&result.choices, floor);
@@ -303,7 +257,7 @@ impl Explorer {
             let Some(next) = frontier else {
                 return ShardEnd::Exhausted;
             };
-            if self.local_executions >= self.config.max_executions {
+            if self.stats.executions >= self.config.max_executions {
                 return ShardEnd::Stopped(
                     StopReason::ExecutionCap,
                     Some(ShardSpec {
@@ -326,40 +280,6 @@ impl Explorer {
             script = next;
         }
     }
-
-    /// Deadline degradation: probe the unexplored region with seeded
-    /// random walks. Each sample replays the current frontier prefix and
-    /// resolves further choices by PRNG, then the frontier advances past
-    /// that subtree so successive samples march across the remaining tree.
-    fn sample_remaining(&mut self, plugins: &mut PluginSet) {
-        for i in 0..self.config.deadline_samples {
-            let Some(prefix) = self.stats.frontier.clone() else {
-                break;
-            };
-            let rng = StdRng::seed_from_u64(self.config.sample_seed.wrapping_add(i));
-            let (result, stop) = self.step(plugins, &prefix, Some(rng));
-            self.stats.sampled += 1;
-            if stop.is_some() {
-                // Keep `Deadline` as the overall stop reason unless the
-                // sample errored — sampling is best-effort extra coverage.
-                if stop == Some(StopReason::Errored) {
-                    self.stats.stop = StopReason::Errored;
-                }
-                break;
-            }
-            // Advance the DFS frontier past the prefix we just probed.
-            // Only the scripted prefix is deterministic; the random tail
-            // must not leak into the stored frontier.
-            let prefix_len = prefix.len();
-            let replayed = &result.choices[..prefix_len.min(result.choices.len())];
-            let advanced = next_script(replayed);
-            self.stats.set_frontier_shards(
-                advanced
-                    .map(|s| vec![ShardSpec::from_script(s)])
-                    .unwrap_or_default(),
-            );
-        }
-    }
 }
 
 /// Exhaustively explore `test` under `config`, invoking `plugins` on every
@@ -372,64 +292,7 @@ pub fn explore_with_plugins<F>(config: Config, plugins: Vec<Box<dyn Plugin>>, te
 where
     F: Fn() + Send + Sync + 'static,
 {
-    explore_from_with_plugins(config, Checkpoint::root(), plugins, test)
-}
-
-/// Resume an interrupted exploration from `checkpoint` (see
-/// [`Stats::checkpoint`] / [`Checkpoint::from_text`]): statistics continue
-/// accumulating on top of the checkpointed counts, previously reported
-/// bugs stay deduplicated, and DFS restarts at the checkpointed frontier
-/// — every frontier shard of it, when the checkpoint came from an
-/// interrupted parallel run.
-///
-/// The two halves of an interrupted run partition the choice tree exactly:
-///
-/// ```
-/// use cdsspec_mc as mc;
-/// use mc::MemOrd::Relaxed;
-///
-/// fn test() {
-///     let x = mc::Atomic::new(0i32);
-///     let t = mc::thread::spawn(move || x.store(1, Relaxed));
-///     let _ = x.load(Relaxed);
-///     t.join();
-/// }
-///
-/// let seq = mc::Config { workers: 1, ..mc::Config::default() };
-/// let full = mc::explore(seq.clone(), test);
-///
-/// // Cut the same exploration after one execution…
-/// let cut = mc::explore(mc::Config { max_executions: 1, ..seq.clone() }, test);
-/// let ck = cut.checkpoint().expect("interrupted run leaves a frontier");
-///
-/// // …and resume it: the halves partition the tree, so the resumed
-/// // total equals the uninterrupted run's count exactly.
-/// let resumed = mc::explore_from(seq, ck, test);
-/// assert_eq!(resumed.executions, full.executions);
-/// ```
-pub fn explore_from<F>(config: Config, checkpoint: Checkpoint, test: F) -> Stats
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    explore_from_with_plugins(config, checkpoint, Vec::new(), test)
-}
-
-/// [`explore_from`] with plugins.
-pub fn explore_from_with_plugins<F>(
-    config: Config,
-    checkpoint: Checkpoint,
-    plugins: Vec<Box<dyn Plugin>>,
-    test: F,
-) -> Stats
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    explore_impl(
-        config,
-        checkpoint,
-        PluginSource::Direct(plugins),
-        Arc::new(test),
-    )
+    explore_impl(config, PluginSource::Direct(plugins), Arc::new(test))
 }
 
 /// Explore with per-worker plugin construction: `factory` is invoked once
@@ -442,57 +305,11 @@ pub fn explore_factory<F>(config: Config, factory: PluginFactory, test: F) -> St
 where
     F: Fn() + Send + Sync + 'static,
 {
-    explore_from_factory(config, Checkpoint::root(), factory, test)
+    explore_impl(config, PluginSource::Factory(factory), Arc::new(test))
 }
 
-/// [`explore_factory`] resuming from a checkpoint (see [`explore_from`]).
-pub fn explore_from_factory<F>(
-    config: Config,
-    checkpoint: Checkpoint,
-    factory: PluginFactory,
-    test: F,
-) -> Stats
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    explore_impl(
-        config,
-        checkpoint,
-        PluginSource::Factory(factory),
-        Arc::new(test),
-    )
-}
-
-/// Resolve where exploration starts: the checkpoint's shard set when the
-/// checkpoint has content, else shards/script smuggled through the config
-/// (the only channel available to callers holding a plain
-/// `fn(Config) -> Stats`, like the benchmark registry), else the root.
-fn initial_shards(config: &Config, checkpoint: &Checkpoint) -> Vec<ShardSpec> {
-    if !checkpoint.script.is_empty() || !checkpoint.stats.shard_frontiers.is_empty() {
-        let shards = checkpoint.stats.frontier_shards();
-        // Trust the shard list only when it agrees with the script — they
-        // are always written together; a hand-built checkpoint with a
-        // bare script keeps the PR 1 contract (the script wins).
-        if shards.first().map(|s| &s.script) == Some(&checkpoint.script) {
-            shards
-        } else {
-            vec![ShardSpec::from_script(checkpoint.script.clone())]
-        }
-    } else if let Some(shards) = &config.resume_shards {
-        if shards.is_empty() {
-            vec![ShardSpec::root()]
-        } else {
-            shards.clone()
-        }
-    } else if let Some(script) = &config.resume_script {
-        vec![ShardSpec::from_script(script.clone())]
-    } else {
-        vec![ShardSpec::root()]
-    }
-}
-
-/// Common implementation: resolve the starting shards, pick the engine by
-/// `Config::workers`, and account wall-clock on top of the prior elapsed.
+/// Common implementation: start from `Config::resume_shards` (or the
+/// root), pick the engine by `Config::workers`, and account wall-clock.
 ///
 /// An exploration started from inside a modeled thread (a nested
 /// exploration) cannot host fibers on the caller's OS thread — that thread
@@ -501,16 +318,13 @@ fn initial_shards(config: &Config, checkpoint: &Checkpoint) -> Vec<ShardSpec> {
 /// not scoped: an outer hang rescue may abandon the calling fiber's frame
 /// while the inner exploration still runs. Parallel runs need no special
 /// case, since every shard thread hosts its own fibers.
-fn explore_impl(
-    config: Config,
-    checkpoint: Checkpoint,
-    plugins: PluginSource,
-    test: Arc<dyn Fn() + Send + Sync>,
-) -> Stats {
+fn explore_impl(config: Config, plugins: PluginSource, test: Arc<dyn Fn() + Send + Sync>) -> Stats {
     let start = Instant::now();
-    let initial = initial_shards(&config, &checkpoint);
-    let prior = checkpoint.stats;
-    let prior_elapsed = prior.elapsed;
+    let initial = if config.resume_shards.is_empty() {
+        vec![ShardSpec::root()]
+    } else {
+        config.resume_shards.clone()
+    };
     let workers = config.effective_workers();
 
     let mut stats = if workers <= 1 {
@@ -519,16 +333,16 @@ fn explore_impl(
             PluginSource::Factory(f) => f(),
         };
         if in_model() {
-            std::thread::spawn(move || sequential_explore(config, prior, initial, owned, test))
+            std::thread::spawn(move || sequential_explore(config, initial, owned, test))
                 .join()
                 .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
         } else {
-            sequential_explore(config, prior, initial, owned, test)
+            sequential_explore(config, initial, owned, test)
         }
     } else {
-        crate::parallel::explore_parallel(&config, prior, initial, plugins, test, workers)
+        crate::parallel::explore_parallel(&config, initial, plugins, test, workers)
     };
-    stats.elapsed = prior_elapsed + start.elapsed();
+    stats.elapsed = start.elapsed();
     stats
 }
 
@@ -538,14 +352,12 @@ fn explore_impl(
 /// [`Stats::shard_frontiers`] so nothing is lost across the interruption.
 fn sequential_explore(
     config: Config,
-    prior: Stats,
     initial: Vec<ShardSpec>,
     plugins: Vec<Box<dyn Plugin>>,
     test: Arc<dyn Fn() + Send + Sync>,
 ) -> Stats {
     let mut plugins = PluginSet::Owned(plugins);
-    let mut explorer = Explorer::new(config, prior, test);
-    explorer.stats.elapsed = std::time::Duration::ZERO; // tracked by explore_impl
+    let mut explorer = Explorer::new(config, test, 0);
     let mut queue: VecDeque<ShardSpec> = initial.into();
     let mut remaining: Vec<ShardSpec> = Vec::new();
     let mut stop = StopReason::Exhausted;
@@ -561,27 +373,14 @@ fn sequential_explore(
         }
     }
     explorer.stats.stop = stop;
-    explorer.stats.set_frontier_shards(remaining);
-    // Deadline degradation only knows how to march a single unfloored
-    // script across the remaining tree.
-    if explorer.stats.stop == StopReason::Deadline
-        && explorer.config.deadline_samples > 0
-        && matches!(explorer.stats.shard_frontiers.as_slice(), [s] if s.floor == 0)
-    {
-        explorer.sample_remaining(&mut plugins);
-    }
+    explorer.stats.shard_frontiers = remaining;
     explorer.stats
 }
 
-/// Compute the replay script for the next DFS leaf, or `None` when the
-/// tree is exhausted.
-fn next_script(choices: &[ChoiceRec]) -> Option<Vec<usize>> {
-    next_script_bounded(choices, 0)
-}
-
-/// [`next_script`] restricted to a shard: backtrack only at depths
-/// `>= floor`. Returns `None` when the shard's subtree is exhausted —
-/// alternatives above the floor belong to other shards.
+/// Compute the replay script for the next DFS leaf of a shard,
+/// backtracking only at depths `>= floor`. Returns `None` when the
+/// shard's subtree is exhausted — alternatives above the floor belong to
+/// other shards (floor 0: the whole tree is exhausted).
 pub(crate) fn next_script_bounded(choices: &[ChoiceRec], floor: usize) -> Option<Vec<usize>> {
     let mut i = choices.len();
     loop {
@@ -675,19 +474,19 @@ mod tests {
     #[test]
     fn next_script_increments_deepest() {
         let choices = vec![rec(0, 2), rec(1, 3), rec(0, 2)];
-        assert_eq!(next_script(&choices), Some(vec![0, 1, 1]));
+        assert_eq!(next_script_bounded(&choices, 0), Some(vec![0, 1, 1]));
     }
 
     #[test]
     fn next_script_pops_exhausted_suffix() {
         let choices = vec![rec(0, 2), rec(2, 3), rec(1, 2)];
-        assert_eq!(next_script(&choices), Some(vec![1]));
+        assert_eq!(next_script_bounded(&choices, 0), Some(vec![1]));
     }
 
     #[test]
     fn next_script_none_when_exhausted() {
-        assert_eq!(next_script(&[]), None);
-        assert_eq!(next_script(&[rec(1, 2), rec(2, 3)]), None);
+        assert_eq!(next_script_bounded(&[], 0), None);
+        assert_eq!(next_script_bounded(&[rec(1, 2), rec(2, 3)], 0), None);
     }
 
     #[test]
@@ -699,19 +498,6 @@ mod tests {
         assert_eq!(next_script_bounded(&choices, 1), Some(vec![0, 2]));
         assert_eq!(next_script_bounded(&choices, 2), None);
         assert_eq!(next_script_bounded(&choices, 99), None);
-    }
-
-    #[test]
-    fn bounded_next_script_floor_zero_matches_unbounded() {
-        let cases = [
-            vec![rec(0, 2), rec(1, 3), rec(0, 2)],
-            vec![rec(0, 2), rec(2, 3), rec(1, 2)],
-            vec![rec(1, 2), rec(2, 3)],
-            vec![],
-        ];
-        for choices in &cases {
-            assert_eq!(next_script_bounded(choices, 0), next_script(choices));
-        }
     }
 
     #[test]

@@ -72,10 +72,7 @@ pub use api::{alloc, annotate, fence, new_object_id, progress_hint, spin_loop, t
 pub use atomic::{Atomic, AtomicPtr};
 pub use config::Config;
 pub use data::Data;
-pub use explore::{
-    explore, explore_factory, explore_from, explore_from_factory, explore_from_with_plugins,
-    explore_with_plugins, model,
-};
+pub use explore::{explore, explore_factory, explore_with_plugins, model};
 pub use plugin::{FnPlugin, Plugin, PluginFactory};
 pub use report::{Bug, BugCategory, Checkpoint, FoundBug, ShardSpec, Stats, StopReason};
 pub use worker::in_model;

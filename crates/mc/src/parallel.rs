@@ -14,9 +14,10 @@
 //!    their own frontier ([`crate::explore::split_frontier`]) — the
 //!    donated sibling subtrees become fresh shards on the queue, and the
 //!    donor raises its floor so it can never re-enter them.
-//! 3. **Merge**: counters sum, [`StopReason`]s combine worst-of, bugs
-//!    dedup by rendered message (then sort, so the merged order does not
-//!    depend on thread timing), and every abandoned shard — in-flight or
+//! 3. **Merge**: the workers' statistics fold with [`Stats::merge`]
+//!    (counters sum, [`StopReason`]s combine worst-of), bugs dedup by
+//!    rendered message (then sort, so the merged order does not depend
+//!    on thread timing), and every abandoned shard — in-flight or
 //!    still queued — lands in [`Stats::shard_frontiers`] so an
 //!    interrupted parallel run resumes exactly.
 //!
@@ -41,11 +42,13 @@ use std::time::Instant;
 use parking_lot::{Condvar, Mutex};
 
 use crate::config::Config;
-use crate::explore::{
-    next_script_bounded, split_frontier, Explorer, PluginSet, PluginSource, MAX_BUG_RECORDS,
-};
-use crate::report::{FoundBug, ShardSpec, Stats, StopReason};
+use crate::explore::{next_script_bounded, split_frontier, Explorer, PluginSet, PluginSource};
+use crate::report::{FoundBug, ShardSpec, Stats, StopReason, MAX_BUG_RECORDS};
 use crate::worker::run_shard_threads;
+
+/// How many frontier shards one donation hands to the queue. One shard
+/// (the largest available subtree) per steal keeps donors busy longest.
+const STEAL_BATCH: usize = 1;
 
 /// Queue + termination state, guarded by the coordinator's mutex.
 struct CoordState {
@@ -66,11 +69,9 @@ struct CoordState {
 struct Coordinator {
     state: Mutex<CoordState>,
     cv: Condvar,
-    /// Executions performed by this run, across all workers (the global
-    /// analog of the sequential engine's `local_executions`).
+    /// Executions performed by this run, across all workers.
     executions: AtomicU64,
     workers: usize,
-    steal_batch: usize,
     max_executions: u64,
     deadline: Option<Instant>,
 }
@@ -125,7 +126,7 @@ impl Coordinator {
         if st.halt.is_some() || st.hungry == 0 || st.queue.len() >= st.hungry {
             return;
         }
-        let (thieves, new_floor) = split_frontier(frontier, choices, *floor, self.steal_batch);
+        let (thieves, new_floor) = split_frontier(frontier, choices, *floor, STEAL_BATCH);
         if thieves.is_empty() {
             return;
         }
@@ -141,18 +142,17 @@ fn shard_worker(
     w: usize,
     coord: &Coordinator,
     config: &Config,
-    prior_bugs: &[String],
     plugins: &mut PluginSet,
     test: &Arc<dyn Fn() + Send + Sync>,
 ) -> (Stats, Vec<ShardSpec>) {
-    let mut ex = Explorer::for_worker(config.clone(), prior_bugs, Arc::clone(test), w);
+    let mut ex = Explorer::new(config.clone(), Arc::clone(test), w);
     let mut leftovers = Vec::new();
     'shards: while let Some(shard) = coord.next_shard() {
         ex.shard_start = shard.script.clone();
         let mut floor = shard.floor;
         let mut script = shard.script;
         loop {
-            let (result, stop) = ex.step(plugins, &script, None);
+            let (result, stop) = ex.step(plugins, &script);
             let total = coord.executions.fetch_add(1, Ordering::Relaxed) + 1;
             let frontier = next_script_bounded(&result.choices, floor);
 
@@ -199,12 +199,10 @@ fn shard_worker(
     (ex.stats, leftovers)
 }
 
-/// Run the parallel engine. `prior` is the checkpointed base the merged
-/// result accumulates onto; `initial` is the starting shard set. The
+/// Run the parallel engine from the starting shard set `initial`. The
 /// caller accounts `elapsed`.
 pub(crate) fn explore_parallel(
     config: &Config,
-    prior: Stats,
     initial: Vec<ShardSpec>,
     plugins: PluginSource,
     test: Arc<dyn Fn() + Send + Sync>,
@@ -221,11 +219,9 @@ pub(crate) fn explore_parallel(
         cv: Condvar::new(),
         executions: AtomicU64::new(0),
         workers,
-        steal_batch: config.steal_batch.max(1),
         max_executions: config.max_executions,
         deadline: config.time_budget.map(|b| Instant::now() + b),
     };
-    let prior_bugs: Vec<String> = prior.bugs.iter().map(|b| b.bug.to_string()).collect();
 
     // One plugin set per worker: factory-made sets are exclusive; a plain
     // `Vec` is shared behind a mutex (serialized checking — documented on
@@ -247,41 +243,31 @@ pub(crate) fn explore_parallel(
 
     let results = run_shard_threads(workers, |w| {
         let mut set = sets[w].lock().take().expect("plugin set taken once");
-        shard_worker(w, &coord, config, &prior_bugs, &mut set, &test)
+        shard_worker(w, &coord, config, &mut set, &test)
     });
 
     let unclaimed = coord.state.into_inner().queue;
-    merge_results(prior, results, unclaimed)
+    merge_results(results, unclaimed)
 }
 
-/// Deterministic merge of the workers' results onto the checkpointed base.
+/// Deterministic merge of the workers' results.
 fn merge_results(
-    prior: Stats,
     results: Vec<std::thread::Result<(Stats, Vec<ShardSpec>)>>,
     unclaimed: VecDeque<ShardSpec>,
 ) -> Stats {
-    let mut merged = prior;
-    merged.stop = StopReason::Exhausted;
-    let mut seen: HashSet<String> = merged.bugs.iter().map(|b| b.bug.to_string()).collect();
-    let mut fresh_bugs: Vec<FoundBug> = Vec::new();
+    let mut merged = Stats::default();
+    let mut seen: HashSet<String> = HashSet::new();
+    let mut bugs: Vec<FoundBug> = Vec::new();
     let mut leftovers: Vec<ShardSpec> = unclaimed.into_iter().collect();
     for r in results {
         match r {
-            Ok((stats, rem)) => {
-                merged.executions += stats.executions;
-                merged.feasible += stats.feasible;
-                merged.diverged += stats.diverged;
-                merged.sleep_pruned += stats.sleep_pruned;
-                merged.sampled += stats.sampled;
-                merged.executions_pruned += stats.executions_pruned;
-                merged.rf_classes.extend(stats.rf_classes);
-                merged.peak_depth = merged.peak_depth.max(stats.peak_depth);
-                merged.stop = merged.stop.worst(stats.stop);
-                for b in stats.bugs {
+            Ok((mut stats, rem)) => {
+                for b in std::mem::take(&mut stats.bugs) {
                     if seen.insert(b.bug.to_string()) {
-                        fresh_bugs.push(b);
+                        bugs.push(b);
                     }
                 }
+                merged.merge(stats);
                 leftovers.extend(rem);
             }
             // A dead worker thread is an engine failure; its shard is
@@ -289,17 +275,13 @@ fn merge_results(
             Err(_) => merged.stop = merged.stop.worst(StopReason::Errored),
         }
     }
-    // Sort new bugs by message so the merged record order is a function of
+    // Sort bugs by message so the merged record order is a function of
     // the bug *set*, not of which worker reported first.
-    fresh_bugs.sort_by_key(|b| b.bug.to_string());
-    for b in fresh_bugs {
-        if merged.bugs.len() >= MAX_BUG_RECORDS {
-            break;
-        }
-        merged.bugs.push(b);
-    }
+    bugs.sort_by_key(|b| b.bug.to_string());
+    bugs.truncate(MAX_BUG_RECORDS);
+    merged.bugs = bugs;
     // Sort leftover shards for stable checkpoint text.
     leftovers.sort_by(|a, b| a.script.cmp(&b.script).then(a.floor.cmp(&b.floor)));
-    merged.set_frontier_shards(leftovers);
+    merged.shard_frontiers = leftovers;
     merged
 }

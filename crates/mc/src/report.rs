@@ -2,8 +2,12 @@
 //! stop reasons, and serializable checkpoints for resumable campaigns.
 
 use cdsspec_c11::{DataId, LocId, Tid};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::time::Duration;
+
+/// Maximum distinct bug records retained (duplicates across executions are
+/// folded; exploration statistics still count every occurrence).
+pub(crate) const MAX_BUG_RECORDS: usize = 24;
 
 /// A defect detected during exploration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -197,9 +201,11 @@ impl BugCategory {
 pub struct FoundBug {
     /// What went wrong.
     pub bug: Bug,
-    /// 0-based index of the execution that exhibited it. Sequential runs
-    /// count globally; parallel runs count per worker (the index is only
-    /// meaningful together with [`FoundBug::worker`]).
+    /// 0-based index of the execution that exhibited it, counted within
+    /// the run that found the bug (a resumed run counts from 0 again).
+    /// Sequential runs count across the run; parallel runs count per
+    /// worker (the index is only meaningful together with
+    /// [`FoundBug::worker`]).
     pub execution: u64,
     /// Rendered trace for diagnostics.
     pub trace: String,
@@ -282,8 +288,8 @@ impl std::fmt::Display for StopReason {
 /// One shard of the DFS frontier: a subtree of the choice tree owned by
 /// exactly one explorer.
 ///
-/// `script` is the replay script of the shard's next unexplored leaf
-/// (PR 1's checkpoint representation, reused verbatim). `floor` is the
+/// `script` is the replay script of the shard's next unexplored leaf.
+/// `floor` is the
 /// *depth floor*: the shard owns only the backtrack points at depths
 /// `>= floor`, so its DFS never climbs above the subtree it was handed.
 /// A plain (unsharded) exploration is the single shard
@@ -305,12 +311,6 @@ impl ShardSpec {
     pub fn root() -> Self {
         ShardSpec::default()
     }
-
-    /// A floor-0 shard starting at `script` (the shape of every PR 1
-    /// checkpoint, which always owned the whole remaining tree).
-    pub fn from_script(script: Vec<usize>) -> Self {
-        ShardSpec { floor: 0, script }
-    }
 }
 
 /// Aggregate result of a [`crate::explore()`] run.
@@ -327,9 +327,6 @@ pub struct Stats {
     pub diverged: u64,
     /// Branches pruned by sleep sets (redundant interleavings).
     pub sleep_pruned: u64,
-    /// Executions contributed by deadline-degraded random-walk sampling
-    /// (a subset of `executions`; see `Config::deadline_samples`).
-    pub sampled: u64,
     /// Choice-tree branches suppressed by rf-equivalence pruning
     /// (`Config::rf_prune`): deferred redundant reader schedules plus
     /// eagerly rejected futile rf candidates. Counted once per suppressed
@@ -355,19 +352,15 @@ pub struct Stats {
     pub elapsed: Duration,
     /// Why the run stopped.
     pub stop: StopReason,
-    /// Replay script of the first unexplored DFS leaf, when the run
-    /// stopped before exhausting the tree — the seed of a [`Checkpoint`].
-    /// Equal to the script of the first entry of
-    /// [`Stats::shard_frontiers`] whenever that list is non-empty.
-    pub frontier: Option<Vec<usize>>,
-    /// The complete unexplored frontier as a list of disjoint shards.
+    /// The unexplored frontier as a list of disjoint shards; empty when
+    /// the run exhausted its tree.
     ///
-    /// A sequential run that stops early leaves exactly one floor-0 shard
-    /// here (mirroring [`Stats::frontier`]); an interrupted *parallel*
-    /// run leaves one shard per in-flight worker plus any shards still
-    /// queued for stealing. Resuming every listed shard visits exactly
-    /// the leaves the interrupted run had left — the partition invariant
-    /// extended to shard sets.
+    /// A sequential run that stops early leaves the shard it was in plus
+    /// any it had not started; an interrupted *parallel* run leaves one
+    /// shard per in-flight worker plus any shards still queued for
+    /// stealing. Resuming every listed shard through
+    /// `Config::resume_shards` visits exactly the leaves the interrupted
+    /// run had left.
     pub shard_frontiers: Vec<ShardSpec>,
 }
 
@@ -393,54 +386,22 @@ impl Stats {
         )
     }
 
-    /// Set the unexplored frontier from a shard list, keeping
-    /// [`Stats::frontier`] (the first shard's script) in sync. An empty
-    /// list clears both — the tree is exhausted.
-    pub fn set_frontier_shards(&mut self, shards: Vec<ShardSpec>) {
-        self.frontier = shards.first().map(|s| s.script.clone());
-        self.shard_frontiers = shards;
-    }
-
-    /// The complete frontier as shards: [`Stats::shard_frontiers`] when
-    /// populated, else the single floor-0 shard implied by
-    /// [`Stats::frontier`] (the PR 1 representation).
-    pub fn frontier_shards(&self) -> Vec<ShardSpec> {
-        if !self.shard_frontiers.is_empty() {
-            self.shard_frontiers.clone()
-        } else {
-            self.frontier
-                .as_ref()
-                .map(|s| vec![ShardSpec::from_script(s.clone())])
-                .unwrap_or_default()
-        }
-    }
-
-    /// A checkpoint from which [`crate::explore_from`] can resume, when
-    /// the run left part of the tree unexplored.
-    pub fn checkpoint(&self) -> Option<Checkpoint> {
-        self.frontier.as_ref().map(|script| Checkpoint {
-            script: script.clone(),
-            stats: self.clone(),
-        })
-    }
-
     /// Merge another run's statistics into this one (used when a
     /// benchmark's standard check is a *suite* of unit tests, as the
-    /// paper's §6.4 corner-case tests are). Keeps the worst stop reason
-    /// and the other run's frontier, if any.
+    /// paper's §6.4 corner-case tests are). Counters sum, rf classes
+    /// union, the worst stop reason wins, bugs append, and the other
+    /// run's frontier replaces this one's when it has one.
     pub fn merge(&mut self, other: Stats) {
         self.executions += other.executions;
         self.feasible += other.feasible;
         self.diverged += other.diverged;
         self.sleep_pruned += other.sleep_pruned;
-        self.sampled += other.sampled;
         self.executions_pruned += other.executions_pruned;
         self.rf_classes.extend(other.rf_classes.iter().copied());
         self.peak_depth = self.peak_depth.max(other.peak_depth);
         self.elapsed += other.elapsed;
         self.stop = self.stop.worst(other.stop);
-        if other.frontier.is_some() {
-            self.frontier = other.frontier;
+        if !other.shard_frontiers.is_empty() {
             self.shard_frontiers = other.shard_frontiers;
         }
         self.bugs.extend(other.bugs);
@@ -450,15 +411,52 @@ impl Stats {
     /// accumulate like [`Stats::merge`], but the continuation's stop
     /// reason and frontier *replace* the originals: the checkpoint's
     /// `Deadline`/`ExecutionCap` describes the interruption, not the
-    /// combined run's fate.
-    pub fn continue_with(&mut self, continuation: Stats) {
+    /// combined run's fate. Bugs the checkpoint already records (by
+    /// rendered message) are not repeated, and at most 24 are kept.
+    ///
+    /// The two halves of an interrupted run partition the choice tree
+    /// exactly:
+    ///
+    /// ```
+    /// use cdsspec_mc as mc;
+    /// use mc::MemOrd::Relaxed;
+    ///
+    /// fn test() {
+    ///     let x = mc::Atomic::new(0i32);
+    ///     let t = mc::thread::spawn(move || x.store(1, Relaxed));
+    ///     let _ = x.load(Relaxed);
+    ///     t.join();
+    /// }
+    ///
+    /// let seq = mc::Config { workers: 1, ..mc::Config::default() };
+    /// let full = mc::explore(seq.clone(), test);
+    ///
+    /// // Cut the same exploration after one execution…
+    /// let mut cut = mc::explore(mc::Config { max_executions: 1, ..seq.clone() }, test);
+    /// assert!(!cut.shard_frontiers.is_empty(), "an interrupted run leaves a frontier");
+    ///
+    /// // …and resume its frontier: the halves partition the tree, so the
+    /// // combined total equals the uninterrupted run's count exactly.
+    /// let resume_shards = cut.shard_frontiers.clone();
+    /// cut.continue_with(mc::explore(mc::Config { resume_shards, ..seq }, test));
+    /// assert_eq!(cut.executions, full.executions);
+    /// ```
+    pub fn continue_with(&mut self, mut continuation: Stats) {
         let stop = continuation.stop;
-        let frontier = continuation.frontier.clone();
-        let shards = continuation.shard_frontiers.clone();
+        let shards = std::mem::take(&mut continuation.shard_frontiers);
+        let bugs = std::mem::take(&mut continuation.bugs);
         self.merge(continuation);
         self.stop = stop;
-        self.frontier = frontier;
         self.shard_frontiers = shards;
+        let mut seen: HashSet<String> = self.bugs.iter().map(|b| b.bug.to_string()).collect();
+        for b in bugs {
+            if self.bugs.len() >= MAX_BUG_RECORDS {
+                break;
+            }
+            if seen.insert(b.bug.to_string()) {
+                self.bugs.push(b);
+            }
+        }
     }
 
     /// Executions per wall-clock second (`0.0` when no time was recorded,
@@ -492,115 +490,57 @@ impl Stats {
     }
 }
 
-/// A resumable exploration position: the replay script of the first
-/// unexplored DFS leaf plus the statistics accumulated so far.
+/// The text form of an interrupted run's [`Stats`] — counters, rf
+/// classes, stop reason, bugs and frontier shards — so a resumable
+/// exploration survives process restarts.
 ///
-/// The DFS explorer's replay script *is* its complete state — re-running
-/// from `script` visits exactly the leaves a straight-through run would
-/// have visited after the interruption point, so
-/// `executions(full) == executions(to checkpoint) + executions(resumed)`.
-/// A *parallel* run's checkpoint additionally carries one
-/// [`ShardSpec`] per abandoned subtree in its statistics; together the
-/// shards partition the unexplored remainder, so the same identity holds
-/// at any worker count.
-///
-/// Checkpoints survive process restarts through a line-oriented text
-/// form:
+/// Resuming means exploring the decoded [`Stats::shard_frontiers`]
+/// through `Config::resume_shards` and folding the result onto the
+/// decoded statistics with [`Stats::continue_with`]. Wall-clock time
+/// round-trips exactly, so a resumed run's exec/s never includes the
+/// suspension gap.
 ///
 /// ```
-/// use cdsspec_mc::{Checkpoint, ShardSpec};
+/// use cdsspec_mc::{Checkpoint, ShardSpec, Stats};
 ///
-/// let mut ckpt = Checkpoint::root();
-/// ckpt.script = vec![0, 2, 1];
-/// ckpt.stats.executions = 7;
-/// let back = Checkpoint::from_text(&ckpt.to_text()).unwrap();
-/// assert_eq!(back.script, vec![0, 2, 1]);
-/// assert_eq!(back.stats.executions, 7);
-/// // A single-script checkpoint parses back as one floor-0 shard — the
-/// // degenerate partition a sequential cut leaves behind.
-/// assert_eq!(
-///     back.stats.frontier_shards(),
-///     vec![ShardSpec { floor: 0, script: vec![0, 2, 1] }],
-/// );
+/// let stats = Stats {
+///     executions: 7,
+///     shard_frontiers: vec![ShardSpec { floor: 1, script: vec![0, 2, 1] }],
+///     ..Stats::default()
+/// };
+/// let back = Checkpoint::from_text(&Checkpoint::to_text(&stats)).unwrap();
+/// assert_eq!(back.executions, 7);
+/// assert_eq!(back.shard_frontiers, stats.shard_frontiers);
 /// ```
-#[derive(Clone, Debug, Default)]
-pub struct Checkpoint {
-    /// Replay script of the next unexplored leaf.
-    pub script: Vec<usize>,
-    /// Statistics accumulated before the interruption.
-    pub stats: Stats,
-}
+#[derive(Clone, Copy, Debug)]
+pub struct Checkpoint;
+
+/// First line of every checkpoint text.
+const CHECKPOINT_HEADER: &str = "cdsspec-checkpoint v3";
 
 impl Checkpoint {
-    /// The checkpoint at the root of the tree: resuming from it explores
-    /// everything from scratch.
-    pub fn root() -> Self {
-        Checkpoint::default()
-    }
-
-    /// Serialize to a line-oriented text format (see [`Checkpoint::from_text`]).
-    ///
-    /// Single-shard, floor-0 checkpoints (everything PR 1 could produce)
-    /// keep the `v1` format byte-for-byte; a multi-shard frontier — the
-    /// fingerprint of an interrupted *parallel* run — upgrades to `v2`,
-    /// which adds one `shard <floor> <script>` line per frontier shard.
-    pub fn to_text(&self) -> String {
-        let shards = self.stats.frontier_shards();
-        let v2 = shards.len() > 1 || shards.iter().any(|s| s.floor != 0);
-        let mut out = if v2 {
-            String::from("cdsspec-checkpoint v2\n")
-        } else {
-            String::from("cdsspec-checkpoint v1\n")
-        };
-        let render = |script: &[usize]| {
-            if script.is_empty() {
-                "-".to_string()
-            } else {
-                script
-                    .iter()
-                    .map(|c| c.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            }
-        };
-        out.push_str(&format!("script {}\n", render(&self.script)));
-        if v2 {
-            for s in &shards {
-                out.push_str(&format!("shard {} {}\n", s.floor, render(&s.script)));
-            }
+    /// Serialize `stats` (see [`Checkpoint::from_text`]). Traces are not
+    /// kept; bugs keep their category, rendered message and execution
+    /// index.
+    pub fn to_text(stats: &Stats) -> String {
+        let mut out = format!("{CHECKPOINT_HEADER}\n");
+        for s in &stats.shard_frontiers {
+            out.push_str(&format!("shard {} {}\n", s.floor, render_script(&s.script)));
         }
         out.push_str(&format!(
-            "counts {} {} {} {} {}\n",
-            self.stats.executions,
-            self.stats.feasible,
-            self.stats.diverged,
-            self.stats.sleep_pruned,
-            self.stats.sampled
+            "counts {} {} {} {} {} {}\n",
+            stats.executions,
+            stats.feasible,
+            stats.diverged,
+            stats.sleep_pruned,
+            stats.executions_pruned,
+            stats.peak_depth
         ));
-        out.push_str(&format!("elapsed_ns {}\n", self.stats.elapsed.as_nanos()));
-        if self.stats.peak_depth != 0 {
-            out.push_str(&format!("peak_depth {}\n", self.stats.peak_depth));
-        }
-        // Optional lines (omitted when trivial) keep old checkpoints and
-        // old parsers compatible with the `counts` line unchanged.
-        if self.stats.executions_pruned != 0 {
-            out.push_str(&format!(
-                "executions_pruned {}\n",
-                self.stats.executions_pruned
-            ));
-        }
-        if !self.stats.rf_classes.is_empty() {
-            let classes = self
-                .stats
-                .rf_classes
-                .iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!("rf_classes {classes}\n"));
-        }
-        out.push_str(&format!("stop {}\n", self.stats.stop));
-        for b in &self.stats.bugs {
+        out.push_str(&format!("elapsed_ns {}\n", stats.elapsed.as_nanos()));
+        let classes: Vec<String> = stats.rf_classes.iter().map(|c| c.to_string()).collect();
+        out.push_str(&format!("rf_classes {}\n", classes.join(",")));
+        out.push_str(&format!("stop {}\n", stats.stop));
+        for b in &stats.bugs {
             out.push_str(&format!(
                 "bug {} {} {}\n",
                 b.bug.category().label(),
@@ -614,32 +554,19 @@ impl Checkpoint {
 
     /// Parse the format produced by [`Checkpoint::to_text`]. Bugs come
     /// back as [`Bug::Restored`] (category + message only). Returns a
-    /// human-readable error for malformed input.
-    pub fn from_text(text: &str) -> Result<Self, String> {
+    /// human-readable error for malformed input, including a checkpoint
+    /// written in an older format.
+    pub fn from_text(text: &str) -> Result<Stats, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty checkpoint")?;
-        if header != "cdsspec-checkpoint v1" && header != "cdsspec-checkpoint v2" {
+        if header != CHECKPOINT_HEADER {
             return Err(format!("unrecognized checkpoint header: {header:?}"));
         }
-        let parse_script = |s: &str| -> Result<Vec<usize>, String> {
-            if s == "-" {
-                return Ok(Vec::new());
-            }
-            s.split(',')
-                .map(|c| {
-                    c.parse()
-                        .map_err(|e| format!("bad script entry {c:?}: {e}"))
-                })
-                .collect()
-        };
-        let mut ck = Checkpoint::root();
+        let mut stats = Stats::default();
         let mut saw_end = false;
         for line in lines {
             let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
             match key {
-                "script" => {
-                    ck.script = parse_script(rest)?;
-                }
                 "shard" => {
                     let (floor, script) = rest
                         .split_once(' ')
@@ -647,7 +574,7 @@ impl Checkpoint {
                     let floor: usize = floor
                         .parse()
                         .map_err(|e| format!("bad shard floor {floor:?}: {e}"))?;
-                    ck.stats.shard_frontiers.push(ShardSpec {
+                    stats.shard_frontiers.push(ShardSpec {
                         floor,
                         script: parse_script(script)?,
                     });
@@ -657,40 +584,32 @@ impl Checkpoint {
                         .split_whitespace()
                         .map(|c| c.parse().map_err(|e| format!("bad count {c:?}: {e}")))
                         .collect::<Result<_, _>>()?;
-                    if nums.len() != 5 {
-                        return Err(format!("expected 5 counters, got {}", nums.len()));
-                    }
-                    ck.stats.executions = nums[0];
-                    ck.stats.feasible = nums[1];
-                    ck.stats.diverged = nums[2];
-                    ck.stats.sleep_pruned = nums[3];
-                    ck.stats.sampled = nums[4];
+                    let [executions, feasible, diverged, sleep_pruned, pruned, depth] = nums[..]
+                    else {
+                        return Err(format!("expected 6 counters, got {}", nums.len()));
+                    };
+                    stats.executions = executions;
+                    stats.feasible = feasible;
+                    stats.diverged = diverged;
+                    stats.sleep_pruned = sleep_pruned;
+                    stats.executions_pruned = pruned;
+                    stats.peak_depth = depth;
                 }
                 "elapsed_ns" => {
                     let ns: u128 = rest
                         .parse()
                         .map_err(|e| format!("bad elapsed_ns {rest:?}: {e}"))?;
-                    ck.stats.elapsed = Duration::from_nanos(ns.min(u64::MAX as u128) as u64);
-                }
-                "peak_depth" => {
-                    ck.stats.peak_depth = rest
-                        .parse()
-                        .map_err(|e| format!("bad peak_depth {rest:?}: {e}"))?;
-                }
-                "executions_pruned" => {
-                    ck.stats.executions_pruned = rest
-                        .parse()
-                        .map_err(|e| format!("bad executions_pruned {rest:?}: {e}"))?;
+                    stats.elapsed = Duration::from_nanos(ns.min(u64::MAX as u128) as u64);
                 }
                 "rf_classes" => {
-                    ck.stats.rf_classes = rest
+                    stats.rf_classes = rest
                         .split(',')
                         .filter(|c| !c.is_empty())
                         .map(|c| c.parse().map_err(|e| format!("bad rf class {c:?}: {e}")))
                         .collect::<Result<_, _>>()?;
                 }
                 "stop" => {
-                    ck.stats.stop = StopReason::from_label(rest)
+                    stats.stop = StopReason::from_label(rest)
                         .ok_or_else(|| format!("unknown stop reason {rest:?}"))?;
                 }
                 "bug" => {
@@ -704,7 +623,7 @@ impl Checkpoint {
                         .and_then(|e| e.parse().ok())
                         .ok_or_else(|| format!("bad bug execution in {rest:?}"))?;
                     let message = unescape(parts.next().unwrap_or(""));
-                    ck.stats.bugs.push(FoundBug {
+                    stats.bugs.push(FoundBug {
                         bug: Bug::Restored {
                             category: cat,
                             message,
@@ -725,15 +644,30 @@ impl Checkpoint {
         if !saw_end {
             return Err("truncated checkpoint (missing end line)".into());
         }
-        // A checkpointed run by definition has unexplored work, so the
-        // frontier is the script itself. v1 checkpoints (no `shard`
-        // lines) describe the single floor-0 shard rooted at that script.
-        ck.stats.frontier = Some(ck.script.clone());
-        if ck.stats.shard_frontiers.is_empty() {
-            ck.stats.shard_frontiers = vec![ShardSpec::from_script(ck.script.clone())];
-        }
-        Ok(ck)
+        Ok(stats)
     }
+}
+
+/// A replay script as checkpoint text: comma-separated, `-` when empty.
+fn render_script(script: &[usize]) -> String {
+    if script.is_empty() {
+        return "-".to_string();
+    }
+    let entries: Vec<String> = script.iter().map(|c| c.to_string()).collect();
+    entries.join(",")
+}
+
+/// Inverse of [`render_script`].
+fn parse_script(s: &str) -> Result<Vec<usize>, String> {
+    if s == "-" {
+        return Ok(Vec::new());
+    }
+    s.split(',')
+        .map(|c| {
+            c.parse()
+                .map_err(|e| format!("bad script entry {c:?}: {e}"))
+        })
+        .collect()
 }
 
 fn escape(s: &str) -> String {
@@ -859,37 +793,63 @@ mod tests {
         }
     }
 
+    fn shard(floor: usize, script: &[usize]) -> ShardSpec {
+        ShardSpec {
+            floor,
+            script: script.to_vec(),
+        }
+    }
+
+    fn restored(message: &str) -> FoundBug {
+        FoundBug {
+            bug: Bug::Restored {
+                category: BugCategory::Assertion,
+                message: message.into(),
+            },
+            execution: 0,
+            trace: String::new(),
+            worker: 0,
+            shard: Vec::new(),
+        }
+    }
+
     #[test]
     fn merge_keeps_worst_stop_and_latest_frontier() {
         let mut a = Stats {
             executions: 10,
+            executions_pruned: 4,
+            rf_classes: [1u64, 2].into_iter().collect(),
             stop: StopReason::Deadline,
-            frontier: Some(vec![0, 1]),
+            shard_frontiers: vec![shard(0, &[0, 1])],
             ..Stats::default()
         };
         let b = Stats {
             executions: 5,
+            executions_pruned: 3,
+            rf_classes: [2u64, 3].into_iter().collect(),
             stop: StopReason::FirstBug,
             ..Stats::default()
         };
         a.merge(b);
         assert_eq!(a.executions, 15);
+        assert_eq!(a.executions_pruned, 7);
+        assert_eq!(a.rf_classes.len(), 3);
         assert_eq!(a.stop, StopReason::Deadline);
         assert_eq!(
-            a.frontier,
-            Some(vec![0, 1]),
+            a.shard_frontiers,
+            vec![shard(0, &[0, 1])],
             "no new frontier keeps the old one"
         );
 
         let c = Stats {
             executions: 2,
             stop: StopReason::Errored,
-            frontier: Some(vec![3]),
+            shard_frontiers: vec![shard(1, &[3])],
             ..Stats::default()
         };
         a.merge(c);
         assert_eq!(a.stop, StopReason::Errored);
-        assert_eq!(a.frontier, Some(vec![3]));
+        assert_eq!(a.shard_frontiers, vec![shard(1, &[3])]);
     }
 
     #[test]
@@ -897,7 +857,7 @@ mod tests {
         let mut prior = Stats {
             executions: 10,
             stop: StopReason::Deadline,
-            frontier: Some(vec![0, 1]),
+            shard_frontiers: vec![shard(0, &[0, 1])],
             ..Stats::default()
         };
         let resumed = Stats {
@@ -908,7 +868,32 @@ mod tests {
         prior.continue_with(resumed);
         assert_eq!(prior.executions, 17);
         assert_eq!(prior.stop, StopReason::Exhausted);
-        assert_eq!(prior.frontier, None);
+        assert!(prior.shard_frontiers.is_empty());
+    }
+
+    #[test]
+    fn continue_with_dedups_and_caps_bugs() {
+        let mut prior = Stats {
+            bugs: vec![restored("a"), restored("b")],
+            ..Stats::default()
+        };
+        let resumed = Stats {
+            bugs: vec![restored("b"), restored("c")],
+            ..Stats::default()
+        };
+        prior.continue_with(resumed);
+        let messages: Vec<String> = prior.bugs.iter().map(|b| b.bug.to_string()).collect();
+        assert_eq!(messages, ["a", "b", "c"], "known bugs are not repeated");
+
+        let flood = Stats {
+            bugs: (0..2 * MAX_BUG_RECORDS)
+                .map(|i| restored(&format!("bug {i}")))
+                .collect(),
+            ..Stats::default()
+        };
+        prior.continue_with(flood);
+        assert_eq!(prior.bugs.len(), MAX_BUG_RECORDS);
+        assert_eq!(prior.bugs[3].bug.to_string(), "bug 0");
     }
 
     #[test]
@@ -918,13 +903,12 @@ mod tests {
             feasible: 30,
             diverged: 7,
             sleep_pruned: 5,
-            sampled: 3,
             executions_pruned: 6,
             rf_classes: [4u64, u64::MAX - 3].into_iter().collect(),
             peak_depth: 9,
             elapsed: Duration::from_millis(1234),
             stop: StopReason::Deadline,
-            frontier: Some(vec![0, 2, 1]),
+            shard_frontiers: vec![shard(0, &[0, 2, 1])],
             bugs: vec![FoundBug {
                 bug: Bug::UserPanic {
                     tid: Tid(2),
@@ -935,107 +919,65 @@ mod tests {
                 worker: 0,
                 shard: Vec::new(),
             }],
-            ..Stats::default()
         };
-        let ck = stats.checkpoint().expect("has frontier");
-        let text = ck.to_text();
+        let text = Checkpoint::to_text(&stats);
+        assert!(
+            text.starts_with("cdsspec-checkpoint v3\nshard 0 0,2,1\n"),
+            "{text}"
+        );
+        assert!(!text.contains("\nscript "), "{text}");
         let back = Checkpoint::from_text(&text).expect("parses");
-        assert_eq!(back.script, vec![0, 2, 1]);
-        assert_eq!(back.stats.executions, 42);
-        assert_eq!(back.stats.feasible, 30);
-        assert_eq!(back.stats.diverged, 7);
-        assert_eq!(back.stats.sleep_pruned, 5);
-        assert_eq!(back.stats.sampled, 3);
-        assert_eq!(back.stats.executions_pruned, 6);
-        assert_eq!(back.stats.rf_classes, stats.rf_classes);
-        assert_eq!(back.stats.peak_depth, 9);
+        assert_eq!(back.shard_frontiers, stats.shard_frontiers);
+        assert_eq!(back.executions, 42);
+        assert_eq!(back.feasible, 30);
+        assert_eq!(back.diverged, 7);
+        assert_eq!(back.sleep_pruned, 5);
+        assert_eq!(back.executions_pruned, 6);
+        assert_eq!(back.rf_classes, stats.rf_classes);
+        assert_eq!(back.peak_depth, 9);
         // Elapsed must round-trip exactly: resumed throughput summaries
         // divide by accumulated *active* time, so a checkpoint that
         // dropped or re-derived it would fold suspension gaps into the
         // reported exec/s rate.
-        assert_eq!(back.stats.elapsed, stats.elapsed);
-        assert_eq!(back.stats.stop, StopReason::Deadline);
-        assert_eq!(back.stats.bugs.len(), 1);
+        assert_eq!(back.elapsed, stats.elapsed);
+        assert_eq!(back.stop, StopReason::Deadline);
+        assert_eq!(back.bugs.len(), 1);
         // The restored bug renders identically, so dedup on resume works.
-        assert_eq!(
-            back.stats.bugs[0].bug.to_string(),
-            stats.bugs[0].bug.to_string()
-        );
-        assert_eq!(back.stats.bugs[0].bug.category(), BugCategory::BuiltIn);
-        assert_eq!(back.stats.bugs[0].execution, 17);
+        assert_eq!(back.bugs[0].bug.to_string(), stats.bugs[0].bug.to_string());
+        assert_eq!(back.bugs[0].bug.category(), BugCategory::BuiltIn);
+        assert_eq!(back.bugs[0].execution, 17);
     }
 
     #[test]
     fn checkpoint_rejects_garbage() {
         assert!(Checkpoint::from_text("").is_err());
         assert!(Checkpoint::from_text("not a checkpoint\nend\n").is_err());
-        assert!(Checkpoint::from_text("cdsspec-checkpoint v1\nscript 0,1\n").is_err());
-        assert!(Checkpoint::from_text("cdsspec-checkpoint v1\nstop nonsense\nend\n").is_err());
+        assert!(Checkpoint::from_text("cdsspec-checkpoint v3\nshard 0 0,1\n").is_err());
+        assert!(Checkpoint::from_text("cdsspec-checkpoint v3\nstop nonsense\nend\n").is_err());
+        assert!(Checkpoint::from_text("cdsspec-checkpoint v3\ncounts 1 2 3\nend\n").is_err());
+        // Older formats carried a separate single-script frontier; they
+        // are refused, not half-read.
+        let v1 = "cdsspec-checkpoint v1\nscript 0,1\ncounts 3 3 0 0 0\nelapsed_ns 5\n\
+                  stop deadline\nend\n";
+        let err = Checkpoint::from_text(v1).unwrap_err();
+        assert!(err.contains("unrecognized checkpoint header"), "{err}");
+        let v2 = "cdsspec-checkpoint v2\nscript 0,1\nshard 1 0,1\ncounts 3 3 0 0 0\n\
+                  stop deadline\nend\n";
+        assert!(Checkpoint::from_text(v2).is_err());
     }
 
     #[test]
-    fn empty_script_round_trips() {
-        let ck = Checkpoint::root();
-        let back = Checkpoint::from_text(&ck.to_text()).unwrap();
-        assert!(back.script.is_empty());
-    }
-
-    #[test]
-    fn single_floor0_shard_stays_v1() {
-        // PR 1 consumers parse v1 only; anything they could have written
-        // must keep serializing exactly as before.
-        let mut stats = Stats {
-            executions: 3,
-            frontier: Some(vec![1, 0]),
-            ..Stats::default()
-        };
-        stats.set_frontier_shards(vec![ShardSpec::from_script(vec![1, 0])]);
-        let text = stats.checkpoint().unwrap().to_text();
-        assert!(text.starts_with("cdsspec-checkpoint v1\n"), "{text}");
-        assert!(!text.contains("\nshard "), "{text}");
-    }
-
-    #[test]
-    fn multi_shard_checkpoint_round_trips_as_v2() {
-        let mut stats = Stats {
+    fn multi_shard_checkpoint_round_trips() {
+        let shards = vec![shard(2, &[0, 1, 3]), shard(1, &[2]), shard(0, &[])];
+        let stats = Stats {
             executions: 9,
             stop: StopReason::Deadline,
+            shard_frontiers: shards.clone(),
             ..Stats::default()
         };
-        let shards = vec![
-            ShardSpec {
-                floor: 2,
-                script: vec![0, 1, 3],
-            },
-            ShardSpec {
-                floor: 1,
-                script: vec![2],
-            },
-            ShardSpec {
-                floor: 0,
-                script: vec![],
-            },
-        ];
-        stats.set_frontier_shards(shards.clone());
-        let ck = stats.checkpoint().expect("has frontier");
-        let text = ck.to_text();
-        assert!(text.starts_with("cdsspec-checkpoint v2\n"), "{text}");
-        let back = Checkpoint::from_text(&text).expect("parses");
-        assert_eq!(back.stats.shard_frontiers, shards);
-        assert_eq!(back.script, vec![0, 1, 3]);
-        assert_eq!(back.stats.frontier, Some(vec![0, 1, 3]));
-    }
-
-    #[test]
-    fn raised_floor_forces_v2() {
-        let mut stats = Stats::default();
-        stats.set_frontier_shards(vec![ShardSpec {
-            floor: 1,
-            script: vec![0, 2],
-        }]);
-        let text = stats.checkpoint().unwrap().to_text();
-        assert!(text.starts_with("cdsspec-checkpoint v2\n"), "{text}");
-        let back = Checkpoint::from_text(&text).unwrap();
-        assert_eq!(back.stats.shard_frontiers[0].floor, 1);
+        let back = Checkpoint::from_text(&Checkpoint::to_text(&stats)).expect("parses");
+        assert_eq!(back.shard_frontiers, shards);
+        assert_eq!(back.executions, 9);
+        assert!(back.rf_classes.is_empty());
     }
 }

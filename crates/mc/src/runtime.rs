@@ -25,8 +25,6 @@ use std::time::Duration;
 
 use cdsspec_c11::{EventId, LocId, Tid, Trace};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::config::Config;
 use crate::memstate::MemState;
@@ -104,9 +102,6 @@ pub(crate) struct ExecState {
     outcome: Option<RunOutcome>,
     /// Abort in progress: remaining workers unwind on wakeup.
     dying: bool,
-    /// When set, choice points past the replay script are resolved by
-    /// this PRNG instead of depth-first (deadline-degraded sampling).
-    sampler: Option<StdRng>,
     /// Reusable rf-candidate buffer: refilled by every load decision, so
     /// candidate enumeration allocates only while the high-water mark
     /// still grows.
@@ -184,8 +179,6 @@ impl ExecState {
         }
         let picked = if self.cursor < self.script.len() {
             self.script[self.cursor]
-        } else if let Some(rng) = &mut self.sampler {
-            rng.gen_range(0..n)
         } else {
             0
         };
@@ -230,7 +223,7 @@ impl ExecState {
     /// `Shared` back through [`Reuse`]. The `config` is deliberately kept:
     /// a `Reuse` never crosses explorers, and an explorer's config is
     /// fixed for its lifetime.
-    fn reset(&mut self, script: &[usize], sampler: Option<StdRng>, recycle: Trace) {
+    fn reset(&mut self, script: &[usize], recycle: Trace) {
         self.mem.reset(recycle);
         self.script.clear();
         self.script.extend_from_slice(script);
@@ -245,7 +238,6 @@ impl ExecState {
         self.last_sched = Tid::MAIN;
         self.outcome = None;
         self.dying = false;
-        self.sampler = sampler;
         self.pruned = 0;
     }
 
@@ -264,13 +256,13 @@ impl ExecState {
 
     /// True when the current decision point is being visited for the first
     /// time across the whole exploration: not a script replay (`cursor`
-    /// still inside the script) and not a random sample. Generated scripts
+    /// still inside the script). Generated scripts
     /// always end in an incremented entry, so for every decision-point
     /// prefix exactly one executed script satisfies this — pruning
     /// counters bumped under this guard count each suppressed branch once,
     /// regardless of worker count or checkpoint partitioning.
     fn at_fresh_node(&self) -> bool {
-        self.sampler.is_none() && self.cursor >= self.script.len()
+        self.cursor >= self.script.len()
     }
 
     /// Eager futile-read rejection (`Config::rf_prune`): when `(t, loc)`
@@ -879,15 +871,13 @@ pub(crate) struct Reuse {
     pub trace: Option<Trace>,
 }
 
-/// Execute the test closure once, replaying `script`. With a `sampler`,
-/// choice points beyond the script are resolved randomly instead of
-/// depth-first (deadline-degraded sampling). `reuse` carries the harness
-/// across executions.
+/// Execute the test closure once, replaying `script` and resolving every
+/// later choice point depth-first. `reuse` carries the harness across
+/// executions.
 pub(crate) fn run_once(
     config: &Config,
     script: &[usize],
     test: Arc<dyn Fn() + Send + Sync>,
-    sampler: Option<StdRng>,
     reuse: &mut Reuse,
 ) -> RunResult {
     let mut recycle = reuse.trace.take().unwrap_or_default();
@@ -897,7 +887,7 @@ pub(crate) fn run_once(
     recycle.record_sw = config.validate_axioms;
     let shared = match reuse.shared.take() {
         Some(shared) => {
-            shared.inner.lock().reset(script, sampler, recycle);
+            shared.inner.lock().reset(script, recycle);
             // A bug posted right before an abort-for-another-reason could
             // survive the previous execution; it must not leak into this
             // one.
@@ -928,7 +918,6 @@ pub(crate) fn run_once(
                 last_sched: Tid::MAIN,
                 outcome: None,
                 dying: false,
-                sampler,
                 cand_buf: Vec::new(),
                 rmw_buf: Vec::new(),
                 cand_scratch: Vec::new(),

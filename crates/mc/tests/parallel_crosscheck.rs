@@ -11,8 +11,7 @@
 //! * **Truncation soundness**: a run cut by the execution cap or the
 //!   deadline leaves frontier shards that resume to *exactly* the
 //!   sequential total — no leaf lost, none duplicated — at any worker
-//!   count and any cut point (the partition invariant, extended from
-//!   PR 1's single checkpoint script to shard sets).
+//!   count and any cut point (the partition invariant over shard sets).
 //!
 //! Plus a property test: any k-way resume of any cap-induced shard split
 //! reproduces the sequential totals, including when the resumed half is
@@ -104,6 +103,21 @@ fn bug_set(stats: &Stats) -> BTreeSet<String> {
     stats.bugs.iter().map(|b| b.bug.to_string()).collect()
 }
 
+/// The one resume path: explore `cut`'s frontier shards under `config`
+/// and fold the result onto `cut`.
+fn resume(cut: &Stats, config: Config, test: fn()) -> Stats {
+    let fresh = mc::explore(
+        Config {
+            resume_shards: cut.shard_frontiers.clone(),
+            ..config
+        },
+        test,
+    );
+    let mut total = cut.clone();
+    total.continue_with(fresh);
+    total
+}
+
 /// Digit-for-digit comparison of everything except wall-clock.
 fn assert_identical(name: &str, workers: usize, seq: &Stats, par: &Stats) {
     assert_eq!(
@@ -116,6 +130,14 @@ fn assert_identical(name: &str, workers: usize, seq: &Stats, par: &Stats) {
         seq.sleep_pruned, par.sleep_pruned,
         "{name} w={workers}: sleep_pruned"
     );
+    assert_eq!(
+        seq.executions_pruned, par.executions_pruned,
+        "{name} w={workers}: executions_pruned"
+    );
+    assert_eq!(
+        seq.rf_classes, par.rf_classes,
+        "{name} w={workers}: rf classes"
+    );
     assert_eq!(seq.stop, par.stop, "{name} w={workers}: stop reason");
     assert_eq!(
         bug_set(seq),
@@ -123,8 +145,8 @@ fn assert_identical(name: &str, workers: usize, seq: &Stats, par: &Stats) {
         "{name} w={workers}: deduplicated bug set"
     );
     assert_eq!(
-        seq.frontier.is_some(),
-        par.frontier.is_some(),
+        seq.shard_frontiers.is_empty(),
+        par.shard_frontiers.is_empty(),
         "{name} w={workers}: frontier presence"
     );
 }
@@ -144,22 +166,6 @@ fn exhausted_runs_identical_at_any_worker_count() {
             );
             assert_identical(name, workers, &seq, &par);
         }
-    }
-}
-
-#[test]
-fn steal_batch_does_not_change_results() {
-    let seq = mc::explore(seq_config(), three_thread_mix);
-    for steal_batch in [1, 2, 8] {
-        let par = mc::explore(
-            Config {
-                workers: 4,
-                steal_batch,
-                ..seq_config()
-            },
-            three_thread_mix,
-        );
-        assert_identical("three_thread_mix", 4, &seq, &par);
     }
 }
 
@@ -205,8 +211,8 @@ fn buggy_run_with_stop_on_first_bug_agrees_on_bugginess() {
 }
 
 /// Interrupt a parallel run with the execution cap, then resume its shard
-/// frontier to completion: totals must land exactly on the sequential
-/// count.
+/// frontier to completion at one and two workers: totals must land
+/// exactly on the sequential count.
 #[test]
 fn capped_parallel_run_resumes_to_exact_total() {
     let seq = mc::explore(seq_config(), three_thread_mix);
@@ -226,18 +232,15 @@ fn capped_parallel_run_resumes_to_exact_total() {
             }
             assert_eq!(cut.stop, mc::StopReason::ExecutionCap);
             assert!(!cut.shard_frontiers.is_empty(), "cap implies a frontier");
-            let ck = cut.checkpoint().expect("interrupted run has a checkpoint");
-            // Resume sequentially: prior counts carry, so the resumed
-            // total is directly comparable to the uninterrupted run.
-            let resumed = mc::explore_from(seq_config(), ck, three_thread_mix);
-            assert_eq!(resumed.stop, mc::StopReason::Exhausted);
-            assert_eq!(
-                resumed.executions, seq.executions,
-                "workers={workers} cap={cap}: shards must partition the tree"
-            );
-            assert_eq!(resumed.feasible, seq.feasible);
-            assert_eq!(resumed.diverged, seq.diverged);
-            assert_eq!(resumed.sleep_pruned, seq.sleep_pruned);
+            for resume_workers in [1, 2] {
+                let config = Config {
+                    workers: resume_workers,
+                    ..seq_config()
+                };
+                let resumed = resume(&cut, config, three_thread_mix);
+                let name = format!("cut w{workers} cap {cap}, resumed");
+                assert_identical(&name, resume_workers, &seq, &resumed);
+            }
         }
     }
 }
@@ -255,18 +258,14 @@ fn sequential_cut_resumed_in_parallel_is_exact() {
             three_thread_mix,
         );
         assert_eq!(cut.stop, mc::StopReason::ExecutionCap);
-        let ck = cut.checkpoint().unwrap();
-        let resumed = mc::explore_from(
-            Config {
-                workers: 4,
+        for workers in [2, 4] {
+            let config = Config {
+                workers,
                 ..seq_config()
-            },
-            ck,
-            three_thread_mix,
-        );
-        assert_eq!(resumed.stop, mc::StopReason::Exhausted);
-        assert_eq!(resumed.executions, seq.executions, "cap={cap}");
-        assert_eq!(resumed.feasible, seq.feasible);
+            };
+            let resumed = resume(&cut, config, three_thread_mix);
+            assert_identical(&format!("cap {cap}"), workers, &seq, &resumed);
+        }
     }
 }
 
@@ -289,17 +288,16 @@ fn deadline_truncated_parallel_run_resumes_to_exact_total() {
             continue; // tree finished inside the first poll window
         }
         assert_eq!(cut.stop, mc::StopReason::Deadline, "workers={workers}");
-        let ck = cut.checkpoint().expect("deadline leaves a frontier");
-        let resumed = mc::explore_from(seq_config(), ck, three_thread_mix);
-        assert_eq!(resumed.stop, mc::StopReason::Exhausted);
-        assert_eq!(resumed.executions, seq.executions, "workers={workers}");
-        assert_eq!(resumed.feasible, seq.feasible);
-        assert_eq!(resumed.diverged, seq.diverged);
-        assert_eq!(resumed.sleep_pruned, seq.sleep_pruned);
+        assert!(
+            !cut.shard_frontiers.is_empty(),
+            "deadline leaves a frontier"
+        );
+        let resumed = resume(&cut, seq_config(), three_thread_mix);
+        assert_identical("deadline cut", workers, &seq, &resumed);
     }
 }
 
-/// A parallel checkpoint serialized to text (v2: one line per shard) and
+/// A parallel checkpoint serialized to text (one line per shard) and
 /// parsed back must resume to the same exact totals.
 #[test]
 fn parallel_checkpoint_round_trips_through_text() {
@@ -315,15 +313,20 @@ fn parallel_checkpoint_round_trips_through_text() {
     if cut.stop == mc::StopReason::Exhausted {
         return; // tiny machine finished under the cap; nothing to check
     }
-    let text = cut.checkpoint().unwrap().to_text();
+    let text = mc::Checkpoint::to_text(&cut);
     let back = mc::Checkpoint::from_text(&text).expect("parses");
     assert_eq!(
-        back.stats.shard_frontiers, cut.shard_frontiers,
+        back.shard_frontiers, cut.shard_frontiers,
         "shards must survive the text round trip"
     );
-    let resumed = mc::explore_from(seq_config(), back, three_thread_mix);
-    assert_eq!(resumed.executions, seq.executions);
-    assert_eq!(resumed.feasible, seq.feasible);
+    for workers in [1, 2] {
+        let config = Config {
+            workers,
+            ..seq_config()
+        };
+        let resumed = resume(&back, config, three_thread_mix);
+        assert_identical("text round trip", workers, &seq, &resumed);
+    }
 }
 
 proptest! {
@@ -345,55 +348,45 @@ proptest! {
             three_thread_mix,
         );
         prop_assert!(cut.executions >= cap.min(seq.executions));
-        let Some(ck) = cut.checkpoint() else {
+        if cut.shard_frontiers.is_empty() {
             // Exhausted under the cap: the counters must already agree.
             prop_assert_eq!(cut.executions, seq.executions);
             return;
-        };
+        }
 
         // Optionally interrupt the resumed half too, then finish it.
-        let (ck, resume_base) = match second_cap {
+        let resumed = Config { workers: resume_workers, ..seq_config() };
+        let cut = match second_cap {
             Some(cap2) => {
-                let mid = mc::explore_from(
-                    Config { workers: resume_workers, max_executions: cap2, ..seq_config() },
-                    ck,
-                    three_thread_mix,
-                );
-                match mid.checkpoint() {
-                    Some(ck2) => (ck2, mid),
-                    None => {
-                        prop_assert_eq!(mid.executions, seq.executions);
-                        return;
-                    }
-                }
+                let capped = Config { max_executions: cap2, ..resumed.clone() };
+                resume(&cut, capped, three_thread_mix)
             }
-            None => {
-                let base = cut.clone();
-                (ck, base)
-            }
+            None => cut,
         };
-        let _ = resume_base;
-
-        let fin = mc::explore_from(
-            Config { workers: resume_workers, ..seq_config() },
-            ck,
-            three_thread_mix,
-        );
+        if cut.shard_frontiers.is_empty() {
+            // The second capped half finished the tree: nothing is left
+            // to resume, and an empty shard list would restart at the root.
+            prop_assert_eq!(cut.executions, seq.executions);
+            return;
+        }
+        let fin = resume(&cut, resumed, three_thread_mix);
         prop_assert_eq!(fin.stop, mc::StopReason::Exhausted);
         prop_assert_eq!(fin.executions, seq.executions);
         prop_assert_eq!(fin.feasible, seq.feasible);
         prop_assert_eq!(fin.diverged, seq.diverged);
         prop_assert_eq!(fin.sleep_pruned, seq.sleep_pruned);
+        prop_assert_eq!(fin.executions_pruned, seq.executions_pruned);
+        prop_assert_eq!(&fin.rf_classes, &seq.rf_classes);
         prop_assert_eq!(bug_set(&fin), bug_set(&seq));
     }
 
     /// Bug sets survive sharded full enumeration at any worker count.
     #[test]
-    fn bug_sets_stable_under_any_split(workers in 1usize..5, steal_batch in 1usize..4) {
+    fn bug_sets_stable_under_any_split(workers in 1usize..5) {
         let full = Config { stop_on_first_bug: false, ..seq_config() };
         let seq = mc::explore(full.clone(), buggy_mp_relaxed);
         let par = mc::explore(
-            Config { workers, steal_batch, ..full.clone() },
+            Config { workers, ..full.clone() },
             buggy_mp_relaxed,
         );
         prop_assert_eq!(seq.executions, par.executions);

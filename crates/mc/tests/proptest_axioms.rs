@@ -304,31 +304,43 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// `executions(full) == executions(to checkpoint) + executions(resume)`
-    /// for every counter, on litmus-sized random programs.
+    /// for every counter, on litmus-sized random programs, at one and
+    /// two workers.
     #[test]
-    fn checkpoint_partitions_executions(prog in program_strategy(2, 2, 2), cap in 1u64..10) {
+    fn checkpoint_partitions_executions(
+        prog in program_strategy(2, 2, 2),
+        cap in 1u64..10,
+        workers in 1usize..=2,
+    ) {
         let prog = Arc::new(prog);
-        let base = Config { stop_on_first_bug: false, ..Config::default() };
+        let base = Config { stop_on_first_bug: false, workers, ..Config::default() };
         let full = mc::explore(base.clone(), modeled_closure(Arc::clone(&prog), 2));
         let capped = Config { max_executions: cap, ..base.clone() };
-        let cut = mc::explore(capped, modeled_closure(Arc::clone(&prog), 2));
-        match cut.checkpoint() {
-            Some(ckpt) => {
-                prop_assert_eq!(cut.stop, mc::StopReason::ExecutionCap);
-                let resumed = mc::explore_from(base, ckpt, modeled_closure(prog, 2));
-                // Resumed stats accumulate on top of the checkpoint, so
-                // totals must land exactly on the straight-through run.
-                prop_assert_eq!(resumed.executions, full.executions);
-                prop_assert_eq!(resumed.feasible, full.feasible);
-                prop_assert_eq!(resumed.diverged, full.diverged);
-                prop_assert_eq!(resumed.sleep_pruned, full.sleep_pruned);
-                prop_assert_eq!(resumed.stop, mc::StopReason::Exhausted);
-            }
-            None => {
-                // The cap never fired: the tree fit inside it.
-                prop_assert_eq!(cut.executions, full.executions);
-                prop_assert_eq!(cut.stop, mc::StopReason::Exhausted);
-            }
+        let mut cut = mc::explore(capped, modeled_closure(Arc::clone(&prog), 2));
+        if cut.shard_frontiers.is_empty() {
+            // The cap never fired: the tree fit inside it.
+            prop_assert_eq!(cut.executions, full.executions);
+            prop_assert_eq!(cut.stop, mc::StopReason::Exhausted);
+        } else {
+            prop_assert_eq!(cut.stop, mc::StopReason::ExecutionCap);
+            let resume_shards = cut.shard_frontiers.clone();
+            cut.continue_with(mc::explore(
+                Config { resume_shards, ..base },
+                modeled_closure(prog, 2),
+            ));
+            // The resumed run's counters fold onto the checkpoint's, so
+            // totals must land exactly on the straight-through run.
+            prop_assert_eq!(cut.executions, full.executions);
+            prop_assert_eq!(cut.feasible, full.feasible);
+            prop_assert_eq!(cut.diverged, full.diverged);
+            prop_assert_eq!(cut.sleep_pruned, full.sleep_pruned);
+            prop_assert_eq!(cut.executions_pruned, full.executions_pruned);
+            prop_assert_eq!(&cut.rf_classes, &full.rf_classes);
+            let bugs = |s: &mc::Stats| -> BTreeSet<String> {
+                s.bugs.iter().map(|b| b.bug.to_string()).collect()
+            };
+            prop_assert_eq!(bugs(&cut), bugs(&full));
+            prop_assert_eq!(cut.stop, mc::StopReason::Exhausted);
         }
     }
 }

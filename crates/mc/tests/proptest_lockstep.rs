@@ -219,25 +219,31 @@ proptest! {
     }
 
     /// Capped-then-resumed exploration: the recycled trace buffers of the
-    /// resumed run must rebuild their incremental state from scratch.
+    /// resumed run must rebuild their incremental state from scratch, at
+    /// one and two workers.
     #[test]
-    fn indexes_agree_across_checkpoint_resume(prog in program_strategy(2, 3, 2), cap in 1u64..8) {
+    fn indexes_agree_across_checkpoint_resume(
+        prog in program_strategy(2, 3, 2),
+        cap in 1u64..8,
+        workers in 1usize..=2,
+    ) {
         let prog = Arc::new(prog);
-        let capped = Config { max_executions: cap, ..lockstep_config() };
-        let cut = mc::explore_with_plugins(
-            capped,
-            vec![Box::new(Lockstep)],
+        let config = Config { workers, ..lockstep_config() };
+        let lockstep: mc::PluginFactory = Arc::new(|| vec![Box::new(Lockstep) as Box<dyn Plugin>]);
+        let mut cut = mc::explore_factory(
+            Config { max_executions: cap, ..config.clone() },
+            Arc::clone(&lockstep),
             modeled_closure(Arc::clone(&prog), 2),
         );
         prop_assert!(!cut.buggy(), "lockstep divergence before the cap: {:?}", cut.bugs);
-        if let Some(ckpt) = cut.checkpoint() {
-            let resumed = mc::explore_from_with_plugins(
-                lockstep_config(),
-                ckpt,
-                vec![Box::new(Lockstep)],
+        if !cut.shard_frontiers.is_empty() {
+            let resume_shards = cut.shard_frontiers.clone();
+            cut.continue_with(mc::explore_factory(
+                Config { resume_shards, ..config },
+                lockstep,
                 modeled_closure(prog, 2),
-            );
-            assert_clean(&resumed);
+            ));
+            assert_clean(&cut);
         }
     }
 }

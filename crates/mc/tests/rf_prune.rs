@@ -180,25 +180,36 @@ fn pruned_counters_are_worker_count_independent() {
 
 /// `executions_pruned` (like every other counter) partitions exactly
 /// across a checkpoint cut: pruned branches are counted only at fresh
-/// decision points, never during replay, so cut + resumed == full.
+/// decision points, never during replay, so cut + resumed == full — at
+/// one and two workers.
 #[test]
 fn pruned_counter_partitions_across_checkpoint() {
-    let base = cfg(true, 1);
-    let full = mc::explore(base.clone(), read_heavy);
+    let full = mc::explore(cfg(true, 1), read_heavy);
     assert!(full.executions_pruned > 0, "{}", full.summary());
-    let cut = mc::explore(
-        Config {
-            max_executions: 2,
-            ..base.clone()
-        },
-        read_heavy,
-    );
-    assert_eq!(cut.stop, mc::StopReason::ExecutionCap);
-    let ckpt = cut.checkpoint().expect("capped run leaves a frontier");
-    let resumed = mc::explore_from(base, ckpt, read_heavy);
-    assert_eq!(resumed.executions, full.executions);
-    assert_eq!(resumed.executions_pruned, full.executions_pruned);
-    assert_eq!(resumed.rf_classes, full.rf_classes);
+    for workers in [1, 2] {
+        let base = cfg(true, workers);
+        let mut cut = mc::explore(
+            Config {
+                max_executions: 2,
+                ..base.clone()
+            },
+            read_heavy,
+        );
+        assert_eq!(cut.stop, mc::StopReason::ExecutionCap);
+        let resume_shards = cut.shard_frontiers.clone();
+        cut.continue_with(mc::explore(
+            Config {
+                resume_shards,
+                ..base
+            },
+            read_heavy,
+        ));
+        assert_eq!(cut.executions, full.executions, "w{workers}");
+        assert_eq!(cut.feasible, full.feasible, "w{workers}");
+        assert_eq!(cut.executions_pruned, full.executions_pruned, "w{workers}");
+        assert_eq!(cut.rf_classes, full.rf_classes, "w{workers}");
+        assert_eq!(bug_set(&cut), bug_set(&full), "w{workers}");
+    }
 }
 
 // ---------------------------------------------------------------------

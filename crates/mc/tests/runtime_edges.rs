@@ -1,8 +1,7 @@
 //! Edge-case tests for the token-passing runtime: thread limits,
 //! truncation, yields, deep spawn chains, nested explorations, harness
-//! reuse across explorations, the verbose/validating config paths, and
-//! the resilience layer (watchdog, deadlines, checkpoint/resume, sampling
-//! degradation).
+//! reuse across explorations, the validating config path, and the
+//! resilience layer (watchdog, deadlines, checkpoint/resume).
 
 use std::time::Duration;
 
@@ -52,7 +51,10 @@ fn truncation_is_reported() {
     assert!(stats.truncated());
     assert_eq!(stats.stop, mc::StopReason::ExecutionCap);
     assert_eq!(stats.executions, 2);
-    assert!(stats.frontier.is_some(), "a capped run must be resumable");
+    assert!(
+        !stats.shard_frontiers.is_empty(),
+        "a capped run must be resumable"
+    );
 }
 
 /// `yield_now` is a scheduling point with no memory effect.
@@ -125,26 +127,6 @@ fn repeated_explorations_are_independent() {
         assert_eq!(stats.executions, 1);
         assert!(!stats.buggy());
     }
-}
-
-/// Exploration with `verbose` exercises the trace renderer on every
-/// execution without panicking.
-#[test]
-fn verbose_rendering_smoke() {
-    let config = Config {
-        verbose: true,
-        ..Config::default()
-    };
-    let stats = mc::explore(config, || {
-        let x = Atomic::new(0i64);
-        let t = mc::thread::spawn(move || {
-            x.fetch_add(1, AcqRel);
-        });
-        let _ = x.compare_exchange(0, 5, SeqCst, Relaxed);
-        mc::fence(SeqCst);
-        t.join();
-    });
-    assert!(!stats.buggy());
 }
 
 /// Two explorations in parallel from different OS threads don't interfere
@@ -253,74 +235,101 @@ fn watchdog_aborts_wedged_thread() {
     assert_eq!(stats.stop, mc::StopReason::FirstBug);
 }
 
+/// Resume `cut`'s frontier under `config` and fold the result onto it —
+/// the one resume path (`Config::resume_shards` + `Stats::continue_with`).
+fn resume(cut: &mc::Stats, config: Config) -> mc::Stats {
+    let fresh = mc::explore(
+        Config {
+            resume_shards: cut.shard_frontiers.clone(),
+            ..config
+        },
+        branchy_workload,
+    );
+    let mut total = cut.clone();
+    total.continue_with(fresh);
+    total
+}
+
+fn bug_set(stats: &mc::Stats) -> std::collections::BTreeSet<String> {
+    stats.bugs.iter().map(|b| b.bug.to_string()).collect()
+}
+
+/// A cut-and-resumed run reports the straight-through run's counters.
+fn assert_same_counts(full: &mc::Stats, resumed: &mc::Stats, label: &str) {
+    assert_eq!(resumed.stop, mc::StopReason::Exhausted, "{label}");
+    assert!(resumed.shard_frontiers.is_empty(), "{label}");
+    assert_eq!(resumed.executions, full.executions, "{label}");
+    assert_eq!(resumed.feasible, full.feasible, "{label}");
+    assert_eq!(resumed.diverged, full.diverged, "{label}");
+    assert_eq!(resumed.sleep_pruned, full.sleep_pruned, "{label}");
+    assert_eq!(resumed.executions_pruned, full.executions_pruned, "{label}");
+    assert_eq!(resumed.rf_classes, full.rf_classes, "{label}");
+    assert_eq!(bug_set(resumed), bug_set(full), "{label}");
+}
+
 /// Deadline expiry stops between executions with a resumable frontier,
 /// and resuming reproduces the straight-through run's aggregate counts
-/// exactly — including through the text serialization round trip.
+/// exactly — including through the text serialization round trip — at
+/// one and two workers on either side of the cut.
 #[test]
 fn deadline_expiry_reports_and_resumes() {
     let full = mc::explore(Config::default(), branchy_workload);
     assert_eq!(full.stop, mc::StopReason::Exhausted);
-    assert!(full.frontier.is_none());
+    assert!(full.shard_frontiers.is_empty());
     assert!(
         full.executions > 4,
         "workload too small to interrupt: {}",
         full.summary()
     );
 
-    let config = Config {
-        time_budget: Some(Duration::ZERO),
-        ..Config::default()
-    };
-    let cut = mc::explore(config, branchy_workload);
-    assert_eq!(cut.stop, mc::StopReason::Deadline);
-    assert!(cut.executions < full.executions);
-    let ckpt = cut.checkpoint().expect("deadline leaves a frontier");
+    for workers in [1, 2] {
+        let config = Config {
+            workers,
+            ..Config::default()
+        };
+        let cut = mc::explore(
+            Config {
+                time_budget: Some(Duration::ZERO),
+                ..config.clone()
+            },
+            branchy_workload,
+        );
+        assert_eq!(cut.stop, mc::StopReason::Deadline);
+        assert!(cut.executions < full.executions);
+        assert!(
+            !cut.shard_frontiers.is_empty(),
+            "deadline leaves a frontier"
+        );
 
-    // Round-trip the checkpoint through its text form, as the bench
-    // binaries do across process restarts.
-    let ckpt = mc::Checkpoint::from_text(&ckpt.to_text()).expect("serializable");
-
-    let resumed = mc::explore_from(Config::default(), ckpt, branchy_workload);
-    assert_eq!(resumed.stop, mc::StopReason::Exhausted);
-    assert_eq!(resumed.executions, full.executions);
-    assert_eq!(resumed.feasible, full.feasible);
-    assert_eq!(resumed.diverged, full.diverged);
-    assert_eq!(resumed.sleep_pruned, full.sleep_pruned);
+        // Round-trip the checkpoint through its text form, as the bench
+        // binaries do across process restarts.
+        let back = mc::Checkpoint::from_text(&mc::Checkpoint::to_text(&cut)).expect("serializable");
+        let resumed = resume(&back, config);
+        assert_same_counts(&full, &resumed, &format!("deadline cut, w{workers}"));
+    }
 }
 
-/// `Config::resume_script` threads resumption through APIs that only
-/// accept a `Config` (the benchmark registry's `check` fn pointers);
-/// executions partition exactly.
+/// An execution-capped run resumes through `Config::resume_shards` —
+/// the channel APIs that only accept a `Config` (the benchmark
+/// registry's `check` fn pointers) use; executions partition exactly.
 #[test]
-fn resume_script_threads_through_config() {
+fn capped_run_resumes_through_config() {
     let full = mc::explore(Config::default(), branchy_workload);
-    // `workers: 1` on the cut: `Config::resume_script` is a single
-    // script, so the cut must leave a single-shard frontier.
-    let cut = mc::explore(
-        Config {
-            max_executions: 2,
-            workers: 1,
+    for workers in [1, 2] {
+        let config = Config {
+            workers,
             ..Config::default()
-        },
-        branchy_workload,
-    );
-    assert_eq!(cut.stop, mc::StopReason::ExecutionCap);
-    let frontier = cut.frontier.clone().expect("capped run leaves a frontier");
-    let resumed = mc::explore(
-        Config {
-            resume_script: Some(frontier),
-            ..Config::default()
-        },
-        branchy_workload,
-    );
-    assert_eq!(
-        cut.executions + resumed.executions,
-        full.executions,
-        "cut {} + resumed {} != full {}",
-        cut.summary(),
-        resumed.summary(),
-        full.summary()
-    );
+        };
+        let cut = mc::explore(
+            Config {
+                max_executions: 2,
+                ..config.clone()
+            },
+            branchy_workload,
+        );
+        assert_eq!(cut.stop, mc::StopReason::ExecutionCap);
+        assert_same_counts(&full, &resume(&cut, config), &format!("cap 2, w{workers}"));
+    }
 }
 
 /// Resumed elapsed time accumulates the checkpoint's *active*
@@ -338,53 +347,21 @@ fn resume_elapsed_excludes_suspension_gap() {
         },
         branchy_workload,
     );
-    let ckpt = cut.checkpoint().expect("capped run leaves a frontier");
     // Round-trip through the text form, as the harness binaries do, and
     // simulate a long suspension by aging the stored active time: the
-    // resumed total must sit just above it, proving the engine adds only
-    // its own active time on top of what the checkpoint recorded.
-    let mut ckpt = mc::Checkpoint::from_text(&ckpt.to_text()).expect("serializable");
-    assert_eq!(
-        ckpt.stats.elapsed, cut.elapsed,
-        "elapsed survives the text form"
-    );
+    // resumed total must sit just above it, proving the resumed run adds
+    // only its own active time on top of what the checkpoint recorded.
+    let mut back = mc::Checkpoint::from_text(&mc::Checkpoint::to_text(&cut)).expect("serializable");
+    assert_eq!(back.elapsed, cut.elapsed, "elapsed survives the text form");
     let hour = Duration::from_secs(3600);
-    ckpt.stats.elapsed = hour;
-    let resumed = mc::explore_from(Config::default(), ckpt, branchy_workload);
+    back.elapsed = hour;
+    let resumed = resume(&back, Config::default());
     assert!(resumed.elapsed >= hour, "{:?}", resumed.elapsed);
     assert!(
         resumed.elapsed < hour + Duration::from_secs(60),
         "resume added wall-clock beyond its own active time: {:?}",
         resumed.elapsed
     );
-}
-
-/// With `deadline_samples`, a deadline-cut run degrades to seeded
-/// random-walk probes of the unexplored region — deterministically.
-#[test]
-fn deadline_degrades_to_sampling_deterministically() {
-    // Sampling degradation is a sequential-engine feature (the parallel
-    // engine reports its shard frontiers instead), so pin `workers: 1`.
-    let config = Config {
-        time_budget: Some(Duration::ZERO),
-        deadline_samples: 5,
-        sample_seed: 42,
-        workers: 1,
-        ..Config::default()
-    };
-    let a = mc::explore(config.clone(), branchy_workload);
-    let b = mc::explore(config, branchy_workload);
-    assert_eq!(a.stop, mc::StopReason::Deadline);
-    assert!(
-        a.sampled > 0,
-        "expected sampling to kick in: {}",
-        a.summary()
-    );
-    assert!(a.sampled <= 5);
-    assert_eq!(a.executions, b.executions, "sampling must be deterministic");
-    assert_eq!(a.sampled, b.sampled);
-    assert_eq!(a.feasible, b.feasible);
-    assert_eq!(a.diverged, b.diverged);
 }
 
 /// Stats bookkeeping: executions = feasible + diverged + sleep-pruned.
